@@ -189,7 +189,7 @@ double MeanExpansionMillis(const ExpansionSetup& setup, int reps,
     if (manifest_path.empty()) {
       const auto checkpoints = core::RunIncrementalExpansion(
           setup.space, setup.sample, setup.judgments, 40.0, setup.options);
-      if (checkpoints.empty()) std::abort();
+      if (!checkpoints.ok() || checkpoints.value().empty()) std::abort();
     } else {
       std::remove(manifest_path.c_str());
       core::DurableExpansionOptions durable;

@@ -103,7 +103,7 @@ int main() {
         context.space, request, pool, config, sample_truth, options);
 
     std::string gmean = "-";
-    if (result.success) {
+    if (result.status.ok()) {
       std::vector<bool> truth(context.world.num_items());
       for (std::uint32_t m = 0; m < context.world.num_items(); ++m) {
         truth[m] = comedy[m];

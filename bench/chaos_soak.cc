@@ -1054,7 +1054,7 @@ void RunDistributedPhase(DistributedFixture& fixture, std::uint64_t seed,
       return ticket.ok() ? ticket.value().Wait()
                          : core::SchemaExpansionResult{};
     }();
-    if (!reference.success) {
+    if (!reference.status.ok()) {
       ReportFailure(failure, "reference expand failed on a clean stack",
                     nullptr);
       return;
@@ -1119,7 +1119,7 @@ void RunDistributedPhase(DistributedFixture& fixture, std::uint64_t seed,
     bool done = false;
     for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
       first = router.Expand(DistributedJob(fixture, seed));
-      done = first.status.ok() && first.result.success;
+      done = first.status.ok() && first.result.status.ok();
       if (!journals_monotone(error)) {
         ReportFailure(failure, error, nullptr);
         return;
@@ -1178,7 +1178,7 @@ void RunDistributedPhase(DistributedFixture& fixture, std::uint64_t seed,
     done = false;
     for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
       second = router.Expand(DistributedJob(fixture, seed));
-      done = second.status.ok() && second.result.success;
+      done = second.status.ok() && second.result.status.ok();
       if (!journals_monotone(error)) {
         ReportFailure(failure, error, nullptr);
         return;

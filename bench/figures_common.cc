@@ -43,8 +43,10 @@ std::vector<BoostSeries> RunBoostingExperiments(const MovieContext& context) {
 
     core::IncrementalExpansionOptions options;
     options.checkpoint_interval_minutes = 5.0;
-    const auto checkpoints = core::RunIncrementalExpansion(
-        context.space, sample, run.judgments, run.total_minutes, options);
+    const auto checkpoints =
+        core::RunIncrementalExpansion(context.space, sample, run.judgments,
+                                      run.total_minutes, options)
+            .value();
 
     BoostSeries series;
     series.crowd_name = setups[e].name;

@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer and runs the concurrency-labeled
-# tests under it: the cancellation/deadline plumbing, the ThreadPool, and
-# the concurrent ExpansionService (worker pool, single-flight dedup,
-# circuit breaker, mid-flight cancellation stress). Only tests labeled
-# "concurrency" run — the Hogwild parallel-SGD trainer races by design
-# and is excluded at the label level (see tests/CMakeLists.txt).
+# tests under it: the cancellation/deadline plumbing, the ThreadPool, the
+# threaded ALS trainer, and the concurrent ExpansionService (worker pool,
+# single-flight dedup, circuit breaker, mid-flight cancellation stress).
 # Usage: scripts/check_tsan.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."

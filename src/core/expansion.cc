@@ -4,8 +4,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "common/check.h"
-
 namespace ccdb::core {
 namespace {
 
@@ -37,43 +35,21 @@ TrainingSet BuildTrainingSet(const std::vector<crowd::Judgment>& judgments,
 
 }  // namespace
 
-ExpansionCheckpoint ComputeExpansionCheckpoint(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double now,
-    const ExtractorOptions& extractor_options) {
-  std::optional<ExpansionCheckpoint> checkpoint = ComputeExpansionCheckpoint(
-      space, sample_items, judgments, now, extractor_options,
-      StopCondition());
-  CCDB_CHECK(checkpoint.has_value());  // default StopCondition never fires
-  return *std::move(checkpoint);
-}
-
 std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double now,
     const ExtractorOptions& extractor_options, const StopCondition& stop) {
-  const std::size_t sample_size = sample_items.size();
   ExpansionCheckpoint checkpoint;
   checkpoint.minutes = now;
   checkpoint.dollars_spent = crowd::CostUpTo(judgments, now);
-  checkpoint.crowd_classification =
-      crowd::MajorityVote(judgments, sample_size, now);
-
   // Training set = items with a clear majority so far.
-  std::vector<std::uint32_t> training_items;
-  std::vector<bool> training_labels;
-  for (std::size_t i = 0; i < sample_size; ++i) {
-    if (checkpoint.crowd_classification[i].has_value()) {
-      training_items.push_back(sample_items[i]);
-      training_labels.push_back(*checkpoint.crowd_classification[i]);
-    }
-  }
-  checkpoint.training_size = training_items.size();
+  TrainingSet training = BuildTrainingSet(judgments, sample_items, now);
+  checkpoint.training_size = training.items.size();
+  checkpoint.crowd_classification = std::move(training.classification);
 
   BinaryAttributeExtractor extractor(extractor_options);
-  if (extractor.Train(space, training_items, training_labels)) {
+  if (extractor.Train(space, training.items, training.labels)) {
     checkpoint.extractor_trained = true;
     // Extract for the sample only (the experiment's universe) in one
     // batched sweep; abort the whole checkpoint if the stop fires inside.
@@ -83,39 +59,6 @@ std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
     checkpoint.extracted = *std::move(extracted);
   }
   return checkpoint;
-}
-
-std::vector<ExpansionCheckpoint> RunIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options) {
-  CCDB_CHECK_GT(options.checkpoint_interval_minutes, 0.0);
-
-  std::vector<ExpansionCheckpoint> checkpoints;
-  for (double t = options.checkpoint_interval_minutes;;
-       t += options.checkpoint_interval_minutes) {
-    // Cooperative stop at the checkpoint boundary: keep what is already
-    // computed (each checkpoint is a complete partial result).
-    if (options.stop.ShouldStop()) break;
-    const double now = std::min(t, total_minutes);
-    std::optional<ExpansionCheckpoint> maybe_checkpoint =
-        ComputeExpansionCheckpoint(space, sample_items, judgments, now,
-                                   options.extractor, options.stop);
-    // A stop that fires inside the extraction sweep behaves exactly like
-    // one at the boundary above: the partial checkpoint is discarded and
-    // the ones already completed are returned.
-    if (!maybe_checkpoint.has_value()) break;
-    ExpansionCheckpoint checkpoint = *std::move(maybe_checkpoint);
-    // Budget caps: keep the checkpoint that crossed the cap (it reflects
-    // the last money actually spent), then stop — partial results beat
-    // none when the crowd run outlives its budget.
-    const bool over_budget = checkpoint.dollars_spent > options.max_dollars ||
-                             now >= options.max_minutes;
-    checkpoints.push_back(std::move(checkpoint));
-    if (now >= total_minutes || over_budget) break;
-  }
-  return checkpoints;
 }
 
 Status ValidateIncrementalExpansion(
@@ -142,7 +85,7 @@ Status ValidateIncrementalExpansion(
   return Status::Ok();
 }
 
-StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionChecked(
+StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansion(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double total_minutes,
@@ -152,40 +95,31 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionChecked(
       !status.ok()) {
     return status;
   }
-  return RunIncrementalExpansion(space, sample_items, judgments,
-                                 total_minutes, options);
-}
 
-SchemaExpansionResult ExpandSchema(const PerceptualSpace& space,
-                                   const SchemaExpansionRequest& request,
-                                   const crowd::WorkerPool& pool,
-                                   const crowd::HitRunConfig& hit_config,
-                                   const std::vector<bool>& sample_truth) {
-  CCDB_CHECK_EQ(request.gold_sample_items.size(), sample_truth.size());
-  CCDB_CHECK(!request.gold_sample_items.empty());
-
-  SchemaExpansionResult result;
-  const crowd::CrowdRunResult run =
-      crowd::RunCrowdTask(pool, sample_truth, hit_config);
-  result.crowd_minutes = run.total_minutes;
-  result.crowd_dollars = run.total_cost_dollars;
-
-  const TrainingSet training = BuildTrainingSet(
-      run.judgments, request.gold_sample_items, run.total_minutes);
-  result.gold_sample_classified = training.items.size();
-
-  BinaryAttributeExtractor extractor(request.extractor);
-  if (!extractor.Train(space, training.items, training.labels)) {
-    result.status = Status::FailedPrecondition(
-        "crowd gold sample for '" + request.attribute_name +
-        "' did not yield two classes (" +
-        std::to_string(training.items.size()) + " classified)");
-    return result;  // success stays false
+  std::vector<ExpansionCheckpoint> checkpoints;
+  for (double t = options.checkpoint_interval_minutes;;
+       t += options.checkpoint_interval_minutes) {
+    // Cooperative stop at the checkpoint boundary: keep what is already
+    // computed (each checkpoint is a complete partial result).
+    if (options.stop.ShouldStop()) break;
+    const double now = std::min(t, total_minutes);
+    std::optional<ExpansionCheckpoint> maybe_checkpoint =
+        ComputeExpansionCheckpoint(space, sample_items, judgments, now,
+                                   options.extractor, options.stop);
+    // A stop that fires inside the extraction sweep behaves exactly like
+    // one at the boundary above: the partial checkpoint is discarded and
+    // the ones already completed are returned.
+    if (!maybe_checkpoint.has_value()) break;
+    ExpansionCheckpoint checkpoint = *std::move(maybe_checkpoint);
+    // Budget caps: keep the checkpoint that crossed the cap (it reflects
+    // the last money actually spent), then stop — partial results beat
+    // none when the crowd run outlives its budget.
+    const bool over_budget = checkpoint.dollars_spent > options.max_dollars ||
+                             now >= options.max_minutes;
+    checkpoints.push_back(std::move(checkpoint));
+    if (now >= total_minutes || over_budget) break;
   }
-  result.values = extractor.ExtractAll(space);
-  result.success = true;
-  result.status = Status::Ok();
-  return result;
+  return checkpoints;
 }
 
 SchemaExpansionResult ExpandSchemaResilient(
@@ -321,7 +255,19 @@ SchemaExpansionResult ExpandSchemaResilient(
     return result;
   }
   BinaryAttributeExtractor extractor(request.extractor);
-  if (!extractor.Train(space, training.items, training.labels)) {
+  const bool trained =
+      extractor.Train(space, training.items, training.labels);
+  // Training may itself have been cut short (extractor smo.stop shares
+  // the request budget), possibly before it produced a model at all;
+  // extracting the full space with a half-solved model past the deadline
+  // helps nobody. Checked first, so a cut-short training never reports
+  // the deterministic (and cacheable) one-class failure below.
+  if (options.stop.ShouldStop()) {
+    result.status = options.stop.ToStatus("schema expansion of '" +
+                                          request.attribute_name + "'");
+    return result;
+  }
+  if (!trained) {
     if (result.dispatch.budget_exhausted) {
       result.status = Status::OutOfRange(
           "budget exhausted before the gold sample for '" +
@@ -332,14 +278,6 @@ SchemaExpansionResult ExpandSchemaResilient(
           "' did not yield two classes after " +
           std::to_string(result.topup_rounds) + " top-up round(s)");
     }
-    return result;
-  }
-  // Training may itself have been cut short (extractor smo.stop shares
-  // the request budget); extracting the full space with a half-solved
-  // model past the deadline helps nobody.
-  if (options.stop.ShouldStop()) {
-    result.status = options.stop.ToStatus("schema expansion of '" +
-                                          request.attribute_name + "'");
     return result;
   }
   // The whole-database sweep probes the stop per block, so a deadline
@@ -353,7 +291,6 @@ SchemaExpansionResult ExpandSchemaResilient(
     return result;
   }
   result.values = *std::move(values);
-  result.success = true;
   result.status = Status::Ok();
   return result;
 }

@@ -58,27 +58,22 @@ struct IncrementalExpansionOptions {
 /// and the retrained extraction. This is the single-checkpoint kernel
 /// shared by RunIncrementalExpansion and the durable/resume path
 /// (expansion_manifest.h), which is why a resumed run is bit-identical to
-/// an uninterrupted one.
-ExpansionCheckpoint ComputeExpansionCheckpoint(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double now,
-    const ExtractorOptions& extractor);
-
-/// Cancellation-aware variant: the batched extraction sweep probes `stop`
-/// per block of items, so a cancel lands within milliseconds even inside
-/// a large checkpoint. Returns nullopt when the stop fired mid-checkpoint;
+/// an uninterrupted one. The batched extraction sweep probes `stop` per
+/// block of items, so a cancel lands within milliseconds even inside a
+/// large checkpoint. Returns nullopt when the stop fired mid-checkpoint;
 /// callers treat that exactly like a stop at the previous checkpoint
-/// boundary (partial checkpoints are never published).
+/// boundary (partial checkpoints are never published). The default stop
+/// never fires.
 std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double now,
-    const ExtractorOptions& extractor, const StopCondition& stop);
+    const ExtractorOptions& extractor, const StopCondition& stop = {});
 
-/// Validates the inputs of the incremental loop (used by the Checked and
-/// durable variants): non-empty sample, positive interval, non-negative
-/// total time, judgments inside the sample.
+/// Validates the inputs of the incremental loop (used by
+/// RunIncrementalExpansion and the durable variant): non-empty sample,
+/// positive interval, non-negative total time, judgments inside the
+/// sample.
 [[nodiscard]] Status ValidateIncrementalExpansion(
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double total_minutes,
@@ -89,17 +84,10 @@ std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
 /// extractor at every checkpoint on the currently majority-classified
 /// items and extracting labels for the entire sample. The benches score
 /// each checkpoint against reference labels to draw Figures 3 and 4.
-std::vector<ExpansionCheckpoint> RunIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments,
-    double total_minutes, const IncrementalExpansionOptions& options);
-
-/// Status-returning variant: invalid inputs (empty sample, non-positive
-/// interval, judgments referencing items outside the sample) come back as
-/// InvalidArgument instead of aborting the process.
+/// Invalid inputs (see ValidateIncrementalExpansion) come back as an
+/// error status instead of aborting the process.
 [[nodiscard]]
-StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionChecked(
+StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansion(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double total_minutes,
@@ -123,11 +111,9 @@ struct SchemaExpansionResult {
   double crowd_minutes = 0.0;
   double crowd_dollars = 0.0;
   std::size_t gold_sample_classified = 0;
-  bool success = false;
-  /// Why the expansion failed (or Ok) — success is status.ok(), kept as a
-  /// bool for existing call sites.
+  /// Why the expansion failed, or Ok: the only success signal.
   Status status = Status::FailedPrecondition("expansion not run");
-  /// Dispatch accounting (zeroed for the plain ExpandSchema path).
+  /// Dispatch accounting.
   crowd::DispatchStats dispatch;
   /// One-class recovery rounds issued by the resilient path.
   std::size_t topup_rounds = 0;
@@ -152,29 +138,24 @@ struct ResilientExpansionOptions {
   StopCondition stop;
 };
 
-/// Runs the full pipeline: dispatch the gold sample to `pool` under
-/// `hit_config` (true labels of the sample supplied for simulation),
-/// majority-vote, train, extract all. Fails (success=false) when the
-/// crowd produced fewer than two distinct classes.
-SchemaExpansionResult ExpandSchema(const PerceptualSpace& space,
-                                   const SchemaExpansionRequest& request,
-                                   const crowd::WorkerPool& pool,
-                                   const crowd::HitRunConfig& hit_config,
-                                   const std::vector<bool>& sample_truth);
-
-/// Fault-tolerant expansion: acquires the gold sample through the
-/// Dispatcher (deadlines, reposts, dedup, budget caps) and degrades
+/// The one Boolean expansion pipeline: dispatch the gold sample to `pool`
+/// under `hit_config` (true labels of the sample supplied for simulation),
+/// majority-vote, train, extract all. It acquires the gold sample through
+/// the Dispatcher (deadlines, reposts, dedup, budget caps) and degrades
 /// gracefully — on a one-class sample it re-dispatches a targeted top-up
 /// of the unclassified items; when the budget runs out it trains on
 /// whatever arrived. The returned `status` explains any failure
 /// (InvalidArgument for malformed requests, OutOfRange when the budget
 /// died first, FailedPrecondition when the sample never yielded two
 /// classes); crowd spend and dispatch stats are reported either way.
+/// With the default options (infinite deadline) and a zeroed FaultModel
+/// the dispatcher passes the RunCrowdTask stream through verbatim, so the
+/// result equals RunCrowdTask -> MajorityVote -> Train -> ExtractAll.
 SchemaExpansionResult ExpandSchemaResilient(
     const PerceptualSpace& space, const SchemaExpansionRequest& request,
     const crowd::WorkerPool& pool, const crowd::HitRunConfig& hit_config,
     const std::vector<bool>& sample_truth,
-    const ResilientExpansionOptions& options);
+    const ResilientExpansionOptions& options = {});
 
 }  // namespace ccdb::core
 

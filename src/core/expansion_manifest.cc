@@ -256,12 +256,19 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunDurableImpl(
       // journaled stay on disk; a later run (or ResumeIncrementalExpansion)
       // with the same inputs picks up exactly here — cancellation leaves
       // the same durable state as a crash would, minus the torn tail.
-      if (options.stop.ShouldStop()) {
+      // A stop inside the checkpoint's extraction sweep is the same stop:
+      // nothing partial is journaled, so the resume contract holds.
+      std::optional<ExpansionCheckpoint> computed;
+      if (!options.stop.ShouldStop()) {
+        computed = ComputeExpansionCheckpoint(space, sample_items, judgments,
+                                              now, options.extractor,
+                                              options.stop);
+      }
+      if (!computed.has_value()) {
         if (Status status = writer.Close(); !status.ok()) return status;
         return options.stop.ToStatus("durable incremental expansion");
       }
-      checkpoint = ComputeExpansionCheckpoint(space, sample_items, judgments,
-                                              now, options.extractor);
+      checkpoint = *std::move(computed);
       if (Status status =
               writer.Append(EncodeCheckpointRecord(index, checkpoint));
           !status.ok()) {

@@ -58,7 +58,7 @@ std::string EncodeExpansionCheckpoint(const ExpansionCheckpoint& checkpoint);
 StatusOr<ExpansionManifest> LoadExpansionManifest(const std::string& path,
                                                   Fs* fs = nullptr);
 
-/// Durable variant of RunIncrementalExpansionChecked: every checkpoint is
+/// Durable variant of RunIncrementalExpansion: every checkpoint is
 /// appended to the manifest journal (and synced per `options.sync`) before
 /// the loop advances. If the manifest already holds checkpoints from an
 /// interrupted run with the same input fingerprint, they are loaded

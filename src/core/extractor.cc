@@ -58,6 +58,9 @@ bool BinaryAttributeExtractor::Train(const PerceptualSpace& space,
     }
   }
   model_ = svm::TrainClassifier(examples, signed_labels, classifier_options);
+  // A stop that fired before SMO moved any multiplier leaves no support
+  // vectors: the model can neither be calibrated nor extract.
+  if (!model_.trained()) return false;
 
   // Calibrate probabilities on the gold sample (Platt scaling). Small
   // samples give a rough sigmoid, but it is monotone in the margin, which
@@ -77,11 +80,6 @@ std::vector<double> BinaryAttributeExtractor::ExtractProbabilities(
                                        : (decisions[i] >= 0.0 ? 1.0 : 0.0);
   }
   return probabilities;
-}
-
-bool BinaryAttributeExtractor::Extract(const PerceptualSpace& space,
-                                       std::uint32_t item) const {
-  return model_.Predict(space.CoordsOf(item));
 }
 
 std::vector<bool> BinaryAttributeExtractor::ExtractAll(
@@ -141,11 +139,6 @@ bool NumericAttributeExtractor::Train(const PerceptualSpace& space,
   svr_options.smo = options_.smo;
   model_ = svm::TrainSvr(examples, values, svr_options);
   return true;
-}
-
-double NumericAttributeExtractor::Extract(const PerceptualSpace& space,
-                                          std::uint32_t item) const {
-  return model_.Predict(space.CoordsOf(item));
 }
 
 std::vector<double> NumericAttributeExtractor::ExtractAll(

@@ -46,15 +46,13 @@ class BinaryAttributeExtractor {
   explicit BinaryAttributeExtractor(const ExtractorOptions& options = {});
 
   /// Trains on the gold sample. Requires at least one positive and one
-  /// negative label; returns false (untrained) otherwise.
+  /// negative label; returns false (untrained) otherwise, and also when
+  /// `options.smo.stop` fired before the solver made any progress.
   bool Train(const PerceptualSpace& space,
              const std::vector<std::uint32_t>& items,
              const std::vector<bool>& labels);
 
   bool trained() const { return model_.trained(); }
-
-  /// Predicted label for one item.
-  bool Extract(const PerceptualSpace& space, std::uint32_t item) const;
 
   /// Predicted labels for every item in the space — the schema-expansion
   /// fill step ("classify all two million movies without additional user
@@ -107,7 +105,6 @@ class NumericAttributeExtractor {
 
   bool trained() const { return model_.trained(); }
 
-  double Extract(const PerceptualSpace& space, std::uint32_t item) const;
   std::vector<double> ExtractAll(const PerceptualSpace& space) const;
 
   /// Cancellation-aware whole-database extraction; nullopt when `stop`

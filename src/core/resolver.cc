@@ -64,51 +64,18 @@ Status PerceptualExpansionResolver::ResolveBool(
     sample_truth.push_back(spec.bool_truth(item));
   }
 
-  // Run the crowd pass, then train and *retain* the extractor so Refresh
-  // can fill rows appended later without another crowd round-trip.
-  const crowd::CrowdRunResult run =
-      crowd::RunCrowdTask(pool_, sample_truth, hit_config_);
-  const auto classification = crowd::MajorityVote(
-      run.judgments, request.gold_sample_items.size(), run.total_minutes);
-  std::vector<std::uint32_t> training_items;
-  std::vector<bool> training_labels;
-  for (std::size_t i = 0; i < classification.size(); ++i) {
-    if (classification[i].has_value()) {
-      training_items.push_back(request.gold_sample_items[i]);
-      training_labels.push_back(*classification[i]);
-    }
-  }
-  BinaryAttributeExtractor extractor(spec.extractor);
-  last_result_ = SchemaExpansionResult{};
-  last_result_.crowd_minutes = run.total_minutes;
-  last_result_.crowd_dollars = run.total_cost_dollars;
-  last_result_.gold_sample_classified = training_items.size();
-  if (!extractor.Train(*space_, training_items, training_labels)) {
-    last_result_.status = Status::FailedPrecondition(
-        "crowd gold sample did not yield two classes for " + column_name);
-    return Status::Internal(
-        "crowd gold sample did not yield two classes for " + column_name);
-  }
-  last_result_.values = extractor.ExtractAll(*space_);
-  last_result_.success = true;
-  last_result_.status = Status::Ok();
-  trained_binary_[column_name] = std::move(extractor);
+  // The one expansion pipeline; with the resolver's default options it
+  // is the plain crowd pass -> majority vote -> train -> extract all.
+  last_result_ = ExpandSchemaResilient(*space_, request, pool_, hit_config_,
+                                       sample_truth);
+  if (!last_result_.status.ok()) return last_result_.status;
   audit_log_.push_back({column_name, db::ColumnType::kBool,
                         request.gold_sample_items.size(),
                         last_result_.gold_sample_classified,
                         last_result_.crowd_dollars,
                         last_result_.crowd_minutes});
-
-  if (Status status =
-          table.AddColumn({column_name, db::ColumnType::kBool});
-      !status.ok()) {
-    return status;
-  }
-  std::vector<db::Value> values(table.num_rows());
-  for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    values[row] = db::Value(static_cast<bool>(last_result_.values[row]));
-  }
-  return table.FillColumn(table.schema().num_columns() - 1, values);
+  return Materialize(table, {column_name, db::ColumnType::kBool},
+                     last_result_.values);
 }
 
 Status PerceptualExpansionResolver::ResolveNumeric(
@@ -136,24 +103,34 @@ Status PerceptualExpansionResolver::ResolveNumeric(
     return Status::Internal("numeric extractor training failed for " +
                             column_name);
   }
-  const std::vector<double> extracted = extractor.ExtractAll(*space_);
-  trained_numeric_[column_name] = std::move(extractor);
+  last_result_ = SchemaExpansionResult{};
+  last_result_.gold_sample_classified = items.size();
+  last_result_.status = Status::Ok();
+  audit_log_.push_back({column_name, db::ColumnType::kDouble, items.size(),
+                        items.size(), 0.0, 0.0});
+  return Materialize(table, {column_name, db::ColumnType::kDouble},
+                     extractor.ExtractAll(*space_));
+}
 
+Status PerceptualExpansionResolver::Materialize(
+    db::Table& table, const db::ColumnDef& column,
+    ExtractedColumn extracted) {
+  if (Status status = table.AddColumn(column); !status.ok()) return status;
+  std::vector<db::Value> values(table.num_rows());
+  std::visit(
+      [&values](const auto& items) {
+        for (std::size_t row = 0; row < values.size(); ++row) {
+          values[row] = db::Value(items[row]);
+        }
+      },
+      extracted);
   if (Status status =
-          table.AddColumn({column_name, db::ColumnType::kDouble});
+          table.FillColumn(table.schema().num_columns() - 1, values);
       !status.ok()) {
     return status;
   }
-  std::vector<db::Value> values(table.num_rows());
-  for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    values[row] = db::Value(extracted[row]);
-  }
-  last_result_ = SchemaExpansionResult{};
-  last_result_.success = true;
-  last_result_.gold_sample_classified = items.size();
-  audit_log_.push_back({column_name, db::ColumnType::kDouble, items.size(),
-                        items.size(), 0.0, 0.0});
-  return table.FillColumn(table.schema().num_columns() - 1, values);
+  extracted_[column.name] = std::move(extracted);
+  return Status::Ok();
 }
 
 db::Table PerceptualExpansionResolver::AuditTable() const {
@@ -187,24 +164,20 @@ Status PerceptualExpansionResolver::Refresh(db::Table& table,
         "table has rows beyond the perceptual space; rebuild the space "
         "from fresh ratings first");
   }
-  const auto binary_it = trained_binary_.find(column_name);
-  const auto numeric_it = trained_numeric_.find(column_name);
-  if (binary_it == trained_binary_.end() &&
-      numeric_it == trained_numeric_.end()) {
-    return Status::FailedPrecondition(
-        "no trained extractor retained for " + column_name);
+  const auto it = extracted_.find(column_name);
+  if (it == extracted_.end()) {
+    return Status::FailedPrecondition("no extracted column retained for " +
+                                      column_name);
   }
-  for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    if (!db::IsNull(table.Get(row, column))) continue;
-    const auto item = static_cast<std::uint32_t>(row);
-    if (binary_it != trained_binary_.end()) {
-      table.Set(row, column,
-                db::Value(binary_it->second.Extract(*space_, item)));
-    } else {
-      table.Set(row, column,
-                db::Value(numeric_it->second.Extract(*space_, item)));
-    }
-  }
+  std::visit(
+      [&](const auto& items) {
+        for (std::size_t row = 0; row < table.num_rows(); ++row) {
+          if (db::IsNull(table.Get(row, column))) {
+            table.Set(row, column, db::Value(items[row]));
+          }
+        }
+      },
+      it->second);
   return Status::Ok();
 }
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/expansion.h"
@@ -58,9 +59,9 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
 
   /// Incremental maintenance (the paper's "each new movie added to the
   /// database will require similar HITs" pain point, solved): fills only
-  /// the NULL cells of an already-materialized perceptual column using
-  /// the extractor trained at expansion time — no new crowd work. Rows
-  /// must still correspond 1:1 to space items.
+  /// the NULL cells of an already-materialized perceptual column from the
+  /// values extracted for every space item at expansion time — no new
+  /// crowd work. Rows must still correspond 1:1 to space items.
   [[nodiscard]]
   Status Refresh(db::Table& table, const std::string& column_name);
 
@@ -91,15 +92,23 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
   [[nodiscard]]
   Status ResolveNumeric(db::Table& table, const std::string& column_name,
                         const PerceptualAttributeSpec& spec);
+  /// The values extracted for every space item, Boolean or numeric.
+  using ExtractedColumn =
+      std::variant<std::vector<bool>, std::vector<double>>;
+  /// Adds `column` to `table`, fills it from `extracted` and retains
+  /// `extracted` for Refresh().
+  [[nodiscard]]
+  Status Materialize(db::Table& table, const db::ColumnDef& column,
+                     ExtractedColumn extracted);
 
   const PerceptualSpace* space_;
   crowd::WorkerPool pool_;
   crowd::HitRunConfig hit_config_;
   std::uint64_t seed_;
   std::map<std::string, PerceptualAttributeSpec> attributes_;
-  /// Extractors kept after materialization, for Refresh().
-  std::map<std::string, BinaryAttributeExtractor> trained_binary_;
-  std::map<std::string, NumericAttributeExtractor> trained_numeric_;
+  /// Extracted column (every space item) per materialized attribute, for
+  /// Refresh().
+  std::map<std::string, ExtractedColumn> extracted_;
   std::vector<AuditRecord> audit_log_;
   SchemaExpansionResult last_result_;
 };

@@ -12,12 +12,12 @@
 #include "common/rng.h"
 #include "core/expansion.h"
 #include "core/expansion_manifest.h"
+#include "core/extractor.h"
 #include "core/perceptual_space.h"
 #include "crowd/dispatcher.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
 #include "factorization/als_trainer.h"
-#include "factorization/parallel_sgd.h"
 #include "factorization/sgd_trainer.h"
 #include "svm/smo_solver.h"
 #include "svm/tsvm.h"
@@ -182,20 +182,6 @@ TEST(TrainerCancellationTest, MidTrainingCancelStopsWithinOneEpoch) {
   // The partial model is intact and usable.
   EXPECT_EQ(static_cast<std::size_t>(report.epochs_run),
             report.train_rmse.size());
-}
-
-TEST(TrainerCancellationTest, ExpiredDeadlineStopsParallelSgd) {
-  const RatingDataset data = SmallDataset(4);
-  factorization::FactorModelConfig model_config;
-  model_config.dims = 4;
-  factorization::FactorModel model(model_config, data);
-  factorization::ParallelSgdConfig config;
-  config.threads = 2;
-  config.base.max_epochs = 50;
-  config.base.stop = StopCondition(Deadline::AfterSeconds(0.0));
-  const auto report = TrainSgdParallel(config, data, model);
-  EXPECT_EQ(report.epochs_run, 0);
-  EXPECT_EQ(report.stop_status.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(TrainerCancellationTest, PreCancelledAlsRunsZeroSweeps) {
@@ -413,6 +399,29 @@ class ExpansionCancellationTest : public ::testing::Test {
 data::SyntheticWorld* ExpansionCancellationTest::world_ = nullptr;
 core::PerceptualSpace* ExpansionCancellationTest::space_ = nullptr;
 
+TEST_F(ExpansionCancellationTest,
+       PreCancelledTrainingLeavesExtractorUntrained) {
+  // A two-class gold sample whose SMO stop fired before the first
+  // iteration: no multiplier moves, so there is no model to calibrate or
+  // extract with. Train must say so instead of aborting the process.
+  std::vector<std::uint32_t> items;
+  std::vector<bool> labels;
+  for (std::uint32_t m = 0; m < world_->num_items() && items.size() < 40;
+       ++m) {
+    items.push_back(m);
+    labels.push_back(world_->GenreLabel(0, m));
+  }
+  ASSERT_NE(std::count(labels.begin(), labels.end(), true), 0);
+  ASSERT_NE(std::count(labels.begin(), labels.end(), false), 0);
+  CancellationSource source;
+  source.Cancel();
+  core::ExtractorOptions options;
+  options.smo.stop = StopCondition(source.token());
+  core::BinaryAttributeExtractor extractor(options);
+  EXPECT_FALSE(extractor.Train(*space_, items, labels));
+  EXPECT_FALSE(extractor.trained());
+}
+
 TEST_F(ExpansionCancellationTest, IncrementalReturnsPartialCheckpoints) {
   std::vector<std::uint32_t> sample;
   std::vector<crowd::Judgment> judgments;
@@ -424,7 +433,8 @@ TEST_F(ExpansionCancellationTest, IncrementalReturnsPartialCheckpoints) {
       *space_, sample, judgments, 50.0, options);
   // Partial results beat none: an already-expired deadline yields an
   // empty checkpoint vector, not a crash.
-  EXPECT_TRUE(checkpoints.empty());
+  ASSERT_TRUE(checkpoints.ok()) << checkpoints.status().ToString();
+  EXPECT_TRUE(checkpoints.value().empty());
 }
 
 TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
@@ -435,8 +445,11 @@ TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
   options.checkpoint_interval_minutes = 2.0;
 
   // Reference: the uninterrupted in-memory run.
-  const auto reference = core::RunIncrementalExpansion(
+  const auto reference_or = core::RunIncrementalExpansion(
       *space_, sample, judgments, 40.0, options);
+  ASSERT_TRUE(reference_or.ok()) << reference_or.status().ToString();
+  const std::vector<core::ExpansionCheckpoint>& reference =
+      reference_or.value();
   ASSERT_FALSE(reference.empty());
 
   const std::string path =

@@ -528,8 +528,10 @@ TEST_F(PerceptualSpaceFixture, IncrementalExpansionProducesCheckpoints) {
 
   IncrementalExpansionOptions options;
   options.checkpoint_interval_minutes = 5.0;
-  const auto checkpoints =
+  const auto run =
       RunIncrementalExpansion(*space_, sample, judgments, 50.0, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<ExpansionCheckpoint>& checkpoints = run.value();
   ASSERT_EQ(checkpoints.size(), 10u);
   // Training sets grow, money grows, and the extractor eventually trains.
   for (std::size_t i = 1; i < checkpoints.size(); ++i) {
@@ -578,8 +580,8 @@ TEST_F(PerceptualSpaceFixture, ExpandSchemaEndToEnd) {
   hit_config.seed = 33;
 
   const SchemaExpansionResult result =
-      ExpandSchema(*space_, request, pool, hit_config, sample_truth);
-  ASSERT_TRUE(result.success);
+      ExpandSchemaResilient(*space_, request, pool, hit_config, sample_truth);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.values.size(), world_->num_items());
   EXPECT_GT(result.crowd_dollars, 0.0);
   EXPECT_GT(result.gold_sample_classified, 60u);
@@ -634,21 +636,35 @@ ResilientSetup MakeResilientSetup(data::SyntheticWorld& world,
 
 TEST_F(PerceptualSpaceFixture, ResilientExpansionMatchesPlainOnZeroFaults) {
   ResilientSetup setup = MakeResilientSetup(*world_, 31);
-  const SchemaExpansionResult plain =
-      ExpandSchema(*space_, setup.request, setup.pool, setup.hit_config,
-                   setup.sample_truth);
+  // The plain Figure 2 pipeline, spelled out: one crowd pass, majority
+  // vote, train, extract every item.
+  const crowd::CrowdRunResult run =
+      crowd::RunCrowdTask(setup.pool, setup.sample_truth, setup.hit_config);
+  const std::vector<std::optional<bool>> classification = crowd::MajorityVote(
+      run.judgments, setup.request.gold_sample_items.size(),
+      run.total_minutes);
+  std::vector<std::uint32_t> training_items;
+  std::vector<bool> training_labels;
+  for (std::size_t i = 0; i < classification.size(); ++i) {
+    if (classification[i].has_value()) {
+      training_items.push_back(setup.request.gold_sample_items[i]);
+      training_labels.push_back(*classification[i]);
+    }
+  }
+  BinaryAttributeExtractor extractor(setup.request.extractor);
+  ASSERT_TRUE(extractor.Train(*space_, training_items, training_labels));
+  const std::vector<bool> plain_values = extractor.ExtractAll(*space_);
+
   const SchemaExpansionResult resilient = ExpandSchemaResilient(
       *space_, setup.request, setup.pool, setup.hit_config,
-      setup.sample_truth, ResilientExpansionOptions{});
-  ASSERT_TRUE(plain.success);
-  ASSERT_TRUE(resilient.success);
-  EXPECT_TRUE(resilient.status.ok());
+      setup.sample_truth);
+  ASSERT_TRUE(resilient.status.ok()) << resilient.status.ToString();
   EXPECT_EQ(resilient.topup_rounds, 0u);
-  EXPECT_EQ(resilient.gold_sample_classified, plain.gold_sample_classified);
-  EXPECT_DOUBLE_EQ(resilient.crowd_dollars, plain.crowd_dollars);
-  ASSERT_EQ(resilient.values.size(), plain.values.size());
+  EXPECT_EQ(resilient.gold_sample_classified, training_items.size());
+  EXPECT_DOUBLE_EQ(resilient.crowd_dollars, run.total_cost_dollars);
+  ASSERT_EQ(resilient.values.size(), plain_values.size());
   // Identical judgments -> identical training set -> identical classifier.
-  EXPECT_EQ(resilient.values, plain.values);
+  EXPECT_EQ(resilient.values, plain_values);
 }
 
 TEST_F(PerceptualSpaceFixture,
@@ -667,7 +683,7 @@ TEST_F(PerceptualSpaceFixture,
       setup.sample_truth, options);
   // Degradation must be graceful: a classifier still comes back, the
   // spend stays under the cap, and the dispatch ledger is populated.
-  ASSERT_TRUE(result.success) << result.status.ToString();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_LE(result.crowd_dollars, options.dispatcher.max_dollars);
   EXPECT_GT(result.dispatch.abandoned_hits, 0u);
   EXPECT_EQ(result.values.size(), world_->num_items());
@@ -704,14 +720,14 @@ TEST_F(PerceptualSpaceFixture, ResilientExpansionTopsUpOneClassSample) {
   const SchemaExpansionResult result = ExpandSchemaResilient(
       *space_, setup.request, setup.pool, setup.hit_config,
       setup.sample_truth, options);
-  if (result.success) {
+  if (result.status.ok()) {
     // Recovery had to come from a top-up round, not the starved primary.
     EXPECT_GE(result.topup_rounds, 1u);
     EXPECT_GT(result.gold_sample_classified, 0u);
   } else {
     // If even the top-ups could not produce two classes the failure must
-    // be a reported status, never a crash or a silent false.
-    EXPECT_FALSE(result.status.ok());
+    // be a reported status, never a crash or a silent empty result.
+    EXPECT_FALSE(result.status.message().empty());
   }
 }
 
@@ -720,17 +736,13 @@ TEST_F(PerceptualSpaceFixture, ResilientExpansionRejectsMalformedRequests) {
   SchemaExpansionRequest empty;
   empty.attribute_name = "nothing";
   const SchemaExpansionResult no_sample = ExpandSchemaResilient(
-      *space_, empty, setup.pool, setup.hit_config, {},
-      ResilientExpansionOptions{});
-  EXPECT_FALSE(no_sample.success);
+      *space_, empty, setup.pool, setup.hit_config, {});
   EXPECT_EQ(no_sample.status.code(), StatusCode::kInvalidArgument);
 
   std::vector<bool> short_truth(setup.sample_truth.begin(),
                                 setup.sample_truth.end() - 1);
   const SchemaExpansionResult mismatched = ExpandSchemaResilient(
-      *space_, setup.request, setup.pool, setup.hit_config, short_truth,
-      ResilientExpansionOptions{});
-  EXPECT_FALSE(mismatched.success);
+      *space_, setup.request, setup.pool, setup.hit_config, short_truth);
   EXPECT_EQ(mismatched.status.code(), StatusCode::kInvalidArgument);
 }
 
@@ -758,12 +770,14 @@ TEST_F(PerceptualSpaceFixture, IncrementalExpansionStopsAtDollarCap) {
   options.checkpoint_interval_minutes = 5.0;
 
   const auto uncapped =
-      RunIncrementalExpansion(*space_, sample, judgments, 50.0, options);
+      RunIncrementalExpansion(*space_, sample, judgments, 50.0, options)
+          .value();
   ASSERT_EQ(uncapped.size(), 10u);
 
   options.max_dollars = 1.0;  // total spend is $3 over the 50 minutes
   const auto capped =
-      RunIncrementalExpansion(*space_, sample, judgments, 50.0, options);
+      RunIncrementalExpansion(*space_, sample, judgments, 50.0, options)
+          .value();
   EXPECT_LT(capped.size(), uncapped.size());
   EXPECT_FALSE(capped.empty());
   // Every checkpoint before the terminal one respects the cap.
@@ -771,9 +785,9 @@ TEST_F(PerceptualSpaceFixture, IncrementalExpansionStopsAtDollarCap) {
     EXPECT_LE(capped[i].dollars_spent, options.max_dollars);
   }
 
-  // The checked variant reports bad input instead of aborting.
-  const auto bad = RunIncrementalExpansionChecked(*space_, {}, judgments,
-                                                 50.0, options);
+  // Bad input comes back as a status instead of aborting.
+  const auto bad =
+      RunIncrementalExpansion(*space_, {}, judgments, 50.0, options);
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -6,8 +6,6 @@
 #include "common/vec.h"
 #include "factorization/factor_model.h"
 #include "factorization/als_trainer.h"
-#include "factorization/parallel_sgd.h"
-#include "factorization/recommender.h"
 #include "factorization/sgd_trainer.h"
 
 namespace ccdb::factorization {
@@ -300,35 +298,6 @@ TEST(AlsTrainerTest, ComparableToSgdOnSameData) {
               0.15);
 }
 
-TEST(ParallelSgdTest, ConvergesLikeSequential) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 60, 200, 4, 0.25, 89);
-  FactorModelConfig config;
-  config.dims = 8;
-  config.lambda = 0.02;
-  FactorModel model(config, data);
-  ParallelSgdConfig parallel;
-  parallel.base.max_epochs = 40;
-  parallel.base.learning_rate = 0.05;
-  parallel.threads = 4;
-  const TrainingReport report = TrainSgdParallel(parallel, data, model);
-  EXPECT_EQ(report.epochs_run, 40);
-  EXPECT_LT(report.final_train_rmse, 0.3);  // Hogwild races are benign
-}
-
-TEST(ParallelSgdTest, SingleThreadMatchesQuality) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 40, 100, 3, 0.3, 91);
-  FactorModelConfig config;
-  config.dims = 6;
-  FactorModel model(config, data);
-  ParallelSgdConfig parallel;
-  parallel.base.max_epochs = 30;
-  parallel.threads = 1;
-  const TrainingReport report = TrainSgdParallel(parallel, data, model);
-  EXPECT_LT(report.final_train_rmse, 0.35);
-}
-
 // Planted dataset with per-item temporal drift on top of the static model.
 RatingDataset MakeDriftingDataset(std::size_t num_items,
                                   std::size_t num_users, double drift,
@@ -358,80 +327,6 @@ RatingDataset MakeDriftingDataset(std::size_t num_items,
     }
   }
   return RatingDataset(num_items, num_users, std::move(ratings));
-}
-
-TEST(RecommenderTest, TopNSkipsRatedItemsAndIsSorted) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 50, 100, 4, 0.3, 103);
-  FactorModelConfig config;
-  config.dims = 8;
-  FactorModel model(config, data);
-  SgdTrainerConfig trainer;
-  trainer.max_epochs = 20;
-  TrainSgd(trainer, data, model);
-
-  Recommender recommender(&model, &data);
-  const auto top = recommender.TopN(0, 10);
-  ASSERT_LE(top.size(), 10u);
-  ASSERT_FALSE(top.empty());
-  // Sorted descending and excludes items user 0 already rated.
-  std::vector<bool> rated(data.num_items(), false);
-  for (const RatingEntry& entry : data.ByUser(0)) rated[entry.id] = true;
-  double previous = 1e18;
-  for (const Recommendation& rec : top) {
-    EXPECT_FALSE(rated[rec.item]);
-    EXPECT_LE(rec.predicted_rating, previous);
-    previous = rec.predicted_rating;
-    EXPECT_DOUBLE_EQ(rec.predicted_rating,
-                     recommender.PredictRating(rec.item, 0));
-  }
-}
-
-TEST(RecommenderTest, RecommendsGenuinelyLikedItems) {
-  // The top recommendation's *true* (planted) rating should be well above
-  // the user's average true rating — i.e. recommendations carry signal.
-  Rng rng(107);
-  const std::size_t num_items = 80, num_users = 150, dims = 4;
-  Matrix item_traits(num_items, dims), user_traits(num_users, dims);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(dims));
-  item_traits.FillGaussian(rng, 0.0, scale);
-  user_traits.FillGaussian(rng, 0.0, scale);
-  std::vector<Rating> ratings;
-  for (std::uint32_t m = 0; m < num_items; ++m) {
-    for (std::uint32_t u = 0; u < num_users; ++u) {
-      if (!rng.Bernoulli(0.3)) continue;
-      const double score =
-          4.5 - SquaredDistance(item_traits.Row(m), user_traits.Row(u)) +
-          rng.Gaussian(0.0, 0.1);
-      ratings.push_back({m, u, static_cast<float>(score)});
-    }
-  }
-  RatingDataset data(num_items, num_users, std::move(ratings));
-  FactorModelConfig config;
-  config.dims = 8;
-  FactorModel model(config, data);
-  SgdTrainerConfig trainer;
-  trainer.max_epochs = 30;
-  TrainSgd(trainer, data, model);
-  Recommender recommender(&model, &data);
-
-  double top_true = 0.0, average_true = 0.0;
-  int users_checked = 0;
-  for (std::uint32_t u = 0; u < 20; ++u) {
-    const auto top = recommender.TopN(u, 1);
-    if (top.empty()) continue;
-    top_true += 4.5 - SquaredDistance(item_traits.Row(top[0].item),
-                                      user_traits.Row(u));
-    double user_mean = 0.0;
-    for (std::uint32_t m = 0; m < num_items; ++m) {
-      user_mean += 4.5 - SquaredDistance(item_traits.Row(m),
-                                         user_traits.Row(u));
-    }
-    average_true += user_mean / static_cast<double>(num_items);
-    ++users_checked;
-  }
-  ASSERT_GT(users_checked, 0);
-  EXPECT_GT(top_true / users_checked, average_true / users_checked + 0.3);
 }
 
 TEST(TemporalModelTest, TimeBinsReduceRmseOnDriftingData) {

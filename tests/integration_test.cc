@@ -146,6 +146,64 @@ TEST_F(PipelineFixture, NumericAttributeExpansionViaSvr) {
   }
 }
 
+TEST_F(PipelineFixture, NumericExpansionReportsOkStatus) {
+  db::Database database;
+  ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
+  core::PerceptualExpansionResolver resolver(
+      space_, crowd::WorkerPool{{crowd::WorkerProfile{}}},
+      crowd::HitRunConfig{});
+  core::PerceptualAttributeSpec spec;
+  spec.type = db::ColumnType::kDouble;
+  spec.gold_sample_size = 40;
+  spec.numeric_truth = [&](std::uint32_t item) {
+    return world_->item_traits()(item, 0);
+  };
+  resolver.RegisterAttribute("humor", std::move(spec));
+  database.SetResolver(&resolver);
+
+  ASSERT_TRUE(database.Execute("SELECT * FROM movies WHERE humor > 0").ok());
+  EXPECT_TRUE(resolver.last_result().status.ok())
+      << resolver.last_result().status.ToString();
+  EXPECT_EQ(resolver.last_result().gold_sample_classified, 40u);
+}
+
+TEST_F(PipelineFixture, OneClassGoldSampleFailsWithoutMaterializing) {
+  // Every gold item is a negative, so no crowd (not even the top-up
+  // round) can produce the two classes the extractor needs.
+  db::Database database;
+  ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
+  crowd::WorkerPool pool;
+  for (int i = 0; i < 8; ++i) {
+    crowd::WorkerProfile worker;
+    worker.honest = true;
+    worker.knowledge = 1.0;
+    worker.accuracy = 1.0;
+    worker.judgments_per_minute = 2.0;
+    pool.workers.push_back(worker);
+  }
+  crowd::HitRunConfig hit_config;
+  hit_config.judgments_per_item = 5;
+  hit_config.perception_flip_rate = 0.0;
+  hit_config.seed = 97;
+  core::PerceptualExpansionResolver resolver(space_, pool, hit_config);
+  core::PerceptualAttributeSpec spec;
+  spec.type = db::ColumnType::kBool;
+  spec.gold_sample_size = 60;
+  spec.bool_truth = [](std::uint32_t) { return false; };
+  resolver.RegisterAttribute("is_nothing", std::move(spec));
+  database.SetResolver(&resolver);
+
+  const auto result =
+      database.Execute("SELECT name FROM movies WHERE is_nothing");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+      << result.status().ToString();
+  const db::Table* movies = database.FindTable("movies");
+  ASSERT_NE(movies, nullptr);
+  EXPECT_EQ(movies->schema().FindColumn("is_nothing"), db::Schema::kNotFound);
+  EXPECT_TRUE(resolver.audit_log().empty());
+}
+
 TEST_F(PipelineFixture, UnregisteredAttributeFailsCleanly) {
   db::Database database;
   ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
@@ -221,6 +279,10 @@ TEST_F(PipelineFixture, RefreshFillsRowsAppendedAfterExpansion) {
   std::size_t correct = 0;
   for (std::uint32_t m = initial_rows; m < initial_rows + 50; ++m) {
     ASSERT_FALSE(db::IsNull(movies->Get(m, column)));
+    // The refreshed cell is the value extracted for that item at
+    // expansion time.
+    EXPECT_EQ(std::get<bool>(movies->Get(m, column)),
+              resolver.last_result().values[m]);
     if (std::get<bool>(movies->Get(m, column)) ==
         world_->GenreLabel(0, m)) {
       ++correct;

@@ -167,10 +167,17 @@ TEST(CondVarTest, WaitForReturnsTrueWhenSignalled) {
   pool.Wait();
 }
 
+// The rank tests nest mutexes in deliberately varied orders, so their
+// mutexes are function-local statics with addresses unique for the whole
+// run. ThreadSanitizer keys mutexes by address and std::mutex never
+// reports its destruction: stack mutexes reusing an earlier test's
+// addresses would merge that test's lock order into this one and show up
+// as a lock-order cycle that no single test contains.
+
 TEST(LockRankTest, InOrderAcquisitionIsSilent) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex outer(lock_rank::kExpansionService);
-  Mutex inner(lock_rank::kThreadPool);
+  static Mutex outer(lock_rank::kExpansionService);
+  static Mutex inner(lock_rank::kThreadPool);
   {
     MutexLock a(outer);
     MutexLock b(inner);
@@ -180,8 +187,8 @@ TEST(LockRankTest, InOrderAcquisitionIsSilent) {
 
 TEST(LockRankTest, InversionFiresHandlerWithBothRanks) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex high(lock_rank::kThreadPool);
-  Mutex low(lock_rank::kExpansionService);
+  static Mutex high(lock_rank::kThreadPool);
+  static Mutex low(lock_rank::kExpansionService);
   {
     MutexLock a(high);
     // Acquiring a lower (or equal) rank while a higher one is held is the
@@ -195,14 +202,17 @@ TEST(LockRankTest, InversionFiresHandlerWithBothRanks) {
 
 TEST(LockRankTest, UnrankedMutexesNeverParticipate) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex ranked(lock_rank::kThreadPool);
-  Mutex plain;  // kNoMutexRank
+  static Mutex ranked(lock_rank::kThreadPool);
+  // Two distinct unranked mutexes (kNoMutexRank): one pair locked in both
+  // orders would be a real lock-order cycle.
+  static Mutex plain_inner;
+  static Mutex plain_outer;
   {
     MutexLock a(ranked);
-    MutexLock b(plain);  // below a ranked lock: fine, unranked
+    MutexLock b(plain_inner);  // below a ranked lock: fine, unranked
   }
   {
-    MutexLock a(plain);
+    MutexLock a(plain_outer);
     MutexLock b(ranked);
   }
   EXPECT_EQ(g_violations.load(), 0);
@@ -210,8 +220,8 @@ TEST(LockRankTest, UnrankedMutexesNeverParticipate) {
 
 TEST(LockRankTest, DisabledCheckingIgnoresInversions) {
   RankCheckScope scope(/*enabled=*/false, &RecordViolation);
-  Mutex high(lock_rank::kThreadPool);
-  Mutex low(lock_rank::kExpansionService);
+  static Mutex high(lock_rank::kThreadPool);
+  static Mutex low(lock_rank::kExpansionService);
   MutexLock a(high);
   MutexLock b(low);
   EXPECT_EQ(g_violations.load(), 0);
@@ -227,8 +237,8 @@ TEST(LockRankTest, SetRankCheckingReturnsPreviousValue) {
 
 TEST(LockRankTest, CondVarWaitRestoresHeldRankOnWake) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex high(lock_rank::kThreadPool);
-  Mutex low(lock_rank::kExpansionService);
+  static Mutex high(lock_rank::kThreadPool);
+  static Mutex low(lock_rank::kExpansionService);
   CondVar cv;
   bool go = false;
   ThreadPool pool(1);
@@ -253,8 +263,8 @@ TEST(LockRankTest, CondVarWaitRestoresHeldRankOnWake) {
 TEST(LockRankDeathTest, DefaultHandlerAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   RankCheckScope scope(/*enabled=*/true, /*handler=*/nullptr);
-  Mutex high(lock_rank::kThreadPool);
-  Mutex low(lock_rank::kExpansionService);
+  static Mutex high(lock_rank::kThreadPool);
+  static Mutex low(lock_rank::kExpansionService);
   EXPECT_DEATH(
       {
         MutexLock a(high);

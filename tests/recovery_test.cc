@@ -348,7 +348,8 @@ std::vector<Judgment> ExpansionRecoveryTest::judgments_;
 
 TEST_F(ExpansionRecoveryTest, DurableRunMatchesPlainExpansion) {
   const auto baseline =
-      RunIncrementalExpansion(*space_, sample_, judgments_, 30.0, Options());
+      RunIncrementalExpansion(*space_, sample_, judgments_, 30.0, Options())
+          .value();
   core::DurableExpansionOptions durable;
   durable.manifest_path = FreshPath("fresh_expansion.jnl");
   auto result = core::RunIncrementalExpansionDurable(
@@ -364,7 +365,8 @@ TEST_F(ExpansionRecoveryTest, DurableRunMatchesPlainExpansion) {
 
 TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
   const auto baseline =
-      RunIncrementalExpansion(*space_, sample_, judgments_, 30.0, Options());
+      RunIncrementalExpansion(*space_, sample_, judgments_, 30.0, Options())
+          .value();
   ASSERT_EQ(baseline.size(), 6u);
 
   for (const std::string& site :

@@ -245,14 +245,12 @@ TEST_F(ShardedServiceTest, WireCodecsRoundTrip) {
             ExpansionJobFingerprint(job));
 
   ExpandResponse expand;
-  expand.result.success = false;
   expand.result.status = Status::FailedPrecondition("one-class sample");
   expand.result.values = {true, false};
   expand.result.crowd_dollars = 1.25;
   StatusOr<ExpandResponse> expand_rt =
       DecodeExpandResponse(EncodeExpandResponse(expand));
   ASSERT_TRUE(expand_rt.ok());
-  EXPECT_FALSE(expand_rt.value().result.success);
   EXPECT_EQ(expand_rt.value().result.status.code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(expand_rt.value().result.values, expand.result.values);
@@ -472,12 +470,22 @@ TEST_F(ShardedServiceTest, NearDeadlineRequestShedsWithZeroTransportTraffic) {
 }
 
 TEST_F(ShardedServiceTest, HedgedExpandDeduplicatesAndSpendsDollarsOnce) {
-  net::FaultTransport transport(net::FaultTransportOptions{});
+  // Seed 2 holds the first delivery to reach the transport for a fixed
+  // 200 ms and passes the second straight through. Either the primary is
+  // held, so the hedge fires while it is in transit, or the hedge got
+  // there first, so it has already fired. The undelayed delivery runs the
+  // one pipeline long before the held one reaches the shard and finds the
+  // finished result.
+  net::FaultTransportOptions transport_options;
+  transport_options.seed = 2;
+  transport_options.delay_prob = 0.5;
+  transport_options.delay_min_ms = 200.0;
+  transport_options.delay_max_ms = 200.0;
+  net::FaultTransport transport(transport_options);
   auto servers = StartServers(transport, 1);
   ShardedExpansionOptions options = RouterOptions(1);
   // With no latency history the hedge delay is hedge_max_delay_ms; a zero
-  // delay fires the hedge on the wait loop's first pass, before the
-  // (orders-of-magnitude slower) expand can possibly answer.
+  // delay fires the hedge on the wait loop's first pass.
   options.hedging = true;
   options.hedge_max_delay_ms = 0.0;
   options.hedge_min_delay_ms = 0.0;
@@ -485,17 +493,18 @@ TEST_F(ShardedServiceTest, HedgedExpandDeduplicatesAndSpendsDollarsOnce) {
 
   const ShardedExpandResult result = router.Expand(GoodJob("is_comedy"));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_TRUE(result.result.success) << result.result.status.ToString();
+  EXPECT_TRUE(result.result.status.ok()) << result.result.status.ToString();
   EXPECT_GT(result.result.crowd_dollars, 0.0);
 
-  // The hedge's response arrives after the race is decided: wait for both
-  // deliveries to land so the duplicate is counted.
+  // The held delivery's response arrives after the race is decided: wait
+  // for both deliveries to land so the duplicate is counted.
   for (int i = 0; i < 3000; ++i) {
     const ShardedServiceStats stats = router.stats();
     if (stats.attempts >= 2 && stats.duplicate_responses >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const ShardedServiceStats stats = router.stats();
+  EXPECT_EQ(transport.faults_injected(), 1u);
   EXPECT_EQ(stats.hedges_fired, 1u);
   EXPECT_GE(stats.attempts, 2u);
   // Exactly one response won the race and exactly one lost: the loser is
@@ -540,7 +549,7 @@ TEST_F(ShardedServiceTest, ExpandCacheSurvivesShardRestart) {
     auto servers = StartServers(transport, 1, server_options);
     const ShardedExpandResult result = router.Expand(GoodJob("is_comedy"));
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    ASSERT_TRUE(result.result.success);
+    ASSERT_TRUE(result.result.status.ok());
     first = result.result;
     EXPECT_EQ(servers[0]->stats().expand_cache_hits, 0u);
     EXPECT_EQ(servers[0]->stats().journal_replayed, 0u);
