@@ -101,7 +101,10 @@ void BM_RbfPredictAll(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(space.num_items()));
 }
-BENCHMARK(BM_RbfPredictAll);
+// Pool-parallel benches and their scalar partners time wall clock: by
+// default items_per_second divides by the main thread's CPU time, which
+// overstates a thread-pool fan-out's rate many times over.
+BENCHMARK(BM_RbfPredictAll)->UseRealTime();
 
 void BM_KnnQuery(benchmark::State& state) {
   const core::PerceptualSpace& space = TinySpace();
@@ -306,7 +309,7 @@ void BM_RbfPredictAllScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(points.rows()));
 }
-BENCHMARK(BM_RbfPredictAllScalar);
+BENCHMARK(BM_RbfPredictAllScalar)->UseRealTime();
 
 void BM_RbfPredictAllBatched(benchmark::State& state) {
   const SyntheticExpansion& e = PaperScaleExpansion();
@@ -317,7 +320,7 @@ void BM_RbfPredictAllBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(points.rows()));
 }
-BENCHMARK(BM_RbfPredictAllBatched);
+BENCHMARK(BM_RbfPredictAllBatched)->UseRealTime();
 
 std::vector<eval::Neighbor> ScalarKnn(const Matrix& points,
                                       std::size_t query, std::size_t k) {
@@ -421,7 +424,7 @@ void BM_KnnCoherenceScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fixture.queries.size()));
 }
-BENCHMARK(BM_KnnCoherenceScalar);
+BENCHMARK(BM_KnnCoherenceScalar)->UseRealTime();
 
 void BM_KnnCoherenceParallel(benchmark::State& state) {
   const Matrix& points = PaperScalePoints();
@@ -433,7 +436,7 @@ void BM_KnnCoherenceParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fixture.queries.size()));
 }
-BENCHMARK(BM_KnnCoherenceParallel);
+BENCHMARK(BM_KnnCoherenceParallel)->UseRealTime();
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer and runs the concurrency-labeled
 # tests under it: the cancellation/deadline plumbing, the ThreadPool, the
-# threaded ALS trainer, and the concurrent ExpansionService (worker pool,
+# SGD trainer, and the concurrent ExpansionService (worker pool,
 # single-flight dedup, circuit breaker, mid-flight cancellation stress).
 # Usage: scripts/check_tsan.sh [extra ctest args...]
 set -euo pipefail

@@ -34,7 +34,9 @@ times = {}
 for b in raw.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
-    times[b["name"]] = {
+    # UseRealTime() benchmarks carry a "/real_time" name suffix; key every
+    # benchmark by its plain function name so the pairs below find it.
+    times[b["name"].replace("/real_time", "")] = {
         "real_time_ns": b["real_time"],
         "cpu_time_ns": b["cpu_time"],
         "iterations": b["iterations"],

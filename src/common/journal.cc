@@ -131,6 +131,32 @@ std::string_view ByteReader::GetBytes() {
   return {static_cast<const char*>(p), static_cast<std::size_t>(n)};
 }
 
+// ------------------------------------------------------ snapshot envelope
+
+std::string SealSnapshot(std::string_view magic, std::string_view payload) {
+  std::string file;
+  file.reserve(magic.size() + 4 + payload.size());
+  file.append(magic.data(), magic.size());
+  PutLe32(file, Crc32(payload));
+  file.append(payload.data(), payload.size());
+  return file;
+}
+
+StatusOr<std::string_view> UnsealSnapshot(std::string_view magic,
+                                          std::string_view file,
+                                          const std::string& path) {
+  if (file.size() < magic.size() + 4 || file.substr(0, magic.size()) != magic) {
+    return Status::InvalidArgument("not a " + std::string(magic) +
+                                   " snapshot: " + path);
+  }
+  const std::string_view payload = file.substr(magic.size() + 4);
+  if (Crc32(payload) != GetLe32(file.data() + magic.size())) {
+    return Status::InvalidArgument("corrupt " + std::string(magic) +
+                                   " snapshot (CRC): " + path);
+  }
+  return payload;
+}
+
 // ---------------------------------------------------------- journal scan
 
 namespace {

@@ -80,6 +80,18 @@ class ByteReader {
   bool ok_ = true;
 };
 
+/// Checksummed envelope of a single-file snapshot (trainer checkpoints,
+/// the perceptual-space cache): [magic][u32 crc32(payload)][payload].
+/// `magic` names the file kind and its format version (8 ASCII bytes by
+/// convention); the payload is typically ByteWriter output.
+std::string SealSnapshot(std::string_view magic, std::string_view payload);
+
+/// Inverse of SealSnapshot: returns the payload (a view into `file`), or
+/// InvalidArgument naming `path` on a wrong magic, a short file or a CRC
+/// mismatch.
+[[nodiscard]] StatusOr<std::string_view> UnsealSnapshot(
+    std::string_view magic, std::string_view file, const std::string& path);
+
 /// Result of scanning a journal file on open/read.
 struct JournalContents {
   /// Payloads of every intact record, in append order.

@@ -1,17 +1,16 @@
 #include "factorization/checkpoint.h"
 
-#include <limits>
 #include <utility>
 
 #include "common/crash_point.h"
 #include "common/journal.h"
-#include "common/rng.h"
+#include "factorization/sgd_loop.h"
 
 namespace ccdb::factorization {
 namespace {
 
 /// Identifies a ccdb trainer checkpoint file (and its format version).
-constexpr char kMagic[8] = {'C', 'C', 'D', 'B', 'C', 'K', 'P', '1'};
+constexpr std::string_view kMagic = "CCDBCKP1";
 
 void PutMatrix(ByteWriter& w, const Matrix& matrix) {
   w.PutU64(matrix.rows());
@@ -85,8 +84,8 @@ void SetAsideCorrupt(Fs& fs, const std::string& path) {
   }
 }
 
-/// Snapshot-file envelope: magic, CRC of the payload, payload. Written in
-/// one WriteFileAtomic so readers only ever see a complete snapshot; the
+/// Writes one sealed snapshot (SealSnapshot envelope) in one
+/// WriteFileAtomic so readers only ever see a complete snapshot; the
 /// previous snapshot is rotated to `path.1` (and so on) first, feeding the
 /// generation-fallback ladder.
 Status WriteSnapshot(Fs& fs, const std::string& path, int keep_generations,
@@ -98,31 +97,7 @@ Status WriteSnapshot(Fs& fs, const std::string& path, int keep_generations,
     // an *older* generation never endangers the snapshot being written.
     (void)fs.Rename(GenerationPath(path, gen - 1), GenerationPath(path, gen));
   }
-  std::string file(kMagic, sizeof(kMagic));
-  ByteWriter crc;
-  crc.PutU32(Crc32(payload));
-  file += crc.bytes();
-  file.append(payload.data(), payload.size());
-  return fs.WriteFileAtomic(path, file);
-}
-
-/// Checks one file's envelope; InvalidArgument on bad magic or CRC.
-StatusOr<std::string> ParseSnapshotEnvelope(const std::string& bytes,
-                                            const std::string& path) {
-  if (bytes.size() < sizeof(kMagic) + 4 ||
-      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a ccdb trainer checkpoint: " + path);
-  }
-  ByteReader header(
-      std::string_view(bytes).substr(sizeof(kMagic), 4));
-  const std::uint32_t stored_crc = header.GetU32();
-  const std::string_view payload =
-      std::string_view(bytes).substr(sizeof(kMagic) + 4);
-  if (Crc32(payload) != stored_crc) {
-    return Status::InvalidArgument("corrupt trainer checkpoint (CRC): " +
-                                   path);
-  }
-  return std::string(payload);
+  return fs.WriteFileAtomic(path, SealSnapshot(kMagic, payload));
 }
 
 /// Reads a snapshot's payload, walking the generation ladder: the newest
@@ -140,9 +115,9 @@ StatusOr<std::string> ReadSnapshot(Fs& fs, const std::string& path,
       if (file.status().code() == StatusCode::kNotFound) continue;
       return file.status();
     }
-    StatusOr<std::string> payload =
-        ParseSnapshotEnvelope(file.value(), gen_path);
-    if (payload.ok()) return payload;
+    StatusOr<std::string_view> payload =
+        UnsealSnapshot(kMagic, file.value(), gen_path);
+    if (payload.ok()) return std::string(payload.value());
     SetAsideCorrupt(fs, gen_path);
   }
   return Status::NotFound("no valid trainer checkpoint generation at " +
@@ -173,58 +148,36 @@ std::uint64_t SgdFingerprint(const SgdTrainerConfig& config,
   return HashBytes(w.bytes());
 }
 
-std::uint64_t AlsFingerprint(const AlsTrainerConfig& config,
-                             const RatingDataset& data,
-                             const FactorModel& model) {
-  ByteWriter w;
-  w.PutU64(static_cast<std::uint64_t>(config.sweeps));
-  w.PutU64(data.num_items());
-  w.PutU64(data.num_users());
-  w.PutU64(data.num_ratings());
-  const FactorModelConfig& mc = model.config();
-  w.PutU8(static_cast<std::uint8_t>(mc.kind));
-  w.PutU64(mc.dims);
-  w.PutF64(mc.lambda);
-  w.PutF64(mc.init_scale);
-  w.PutU64(mc.time_bins);
-  w.PutF64(mc.timeline_days);
-  w.PutU64(mc.seed);
-  return HashBytes(w.bytes());
+bool Finished(const SgdTrainerConfig& config, const SgdState& state) {
+  return state.report.early_stopped ||
+         state.report.epochs_run == config.max_epochs;
 }
 
-/// SGD schedule state alongside the model: everything needed to continue
-/// the epoch loop exactly where the snapshot left it.
-struct SgdProgress {
-  std::uint64_t epochs_run = 0;
-  double learning_rate = 0.0;
-  double best_validation = std::numeric_limits<double>::infinity();
-  std::uint64_t epochs_without_improvement = 0;
-  bool early_stopped = false;
-  bool finished = false;
-  std::vector<double> train_rmse;
-  std::vector<double> validation_rmse;
-};
-
+/// Snapshot payload: the run's fingerprint, the SGD schedule state, the
+/// telemetry so far and the model — everything needed to continue the
+/// epoch loop exactly where the snapshot left it.
 std::string EncodeSgdSnapshot(std::uint64_t fingerprint,
-                              const SgdProgress& progress,
+                              const SgdTrainerConfig& config,
+                              const SgdState& state,
                               const FactorModel& model) {
   ByteWriter w;
   w.PutU64(fingerprint);
-  w.PutU64(progress.epochs_run);
-  w.PutF64(progress.learning_rate);
-  w.PutF64(progress.best_validation);
-  w.PutU64(progress.epochs_without_improvement);
-  w.PutBool(progress.early_stopped);
-  w.PutBool(progress.finished);
-  PutDoubles(w, progress.train_rmse);
-  PutDoubles(w, progress.validation_rmse);
+  w.PutU64(static_cast<std::uint64_t>(state.report.epochs_run));
+  w.PutF64(state.learning_rate);
+  w.PutF64(state.best_validation);
+  w.PutU64(static_cast<std::uint64_t>(state.epochs_without_improvement));
+  w.PutBool(state.report.early_stopped);
+  w.PutBool(Finished(config, state));
+  PutDoubles(w, state.report.train_rmse);
+  PutDoubles(w, state.report.validation_rmse);
   w.PutBytes(EncodeFactorModel(model));
   return w.Take();
 }
 
-StatusOr<SgdProgress> DecodeSgdSnapshot(std::string_view payload,
-                                        std::uint64_t expected_fingerprint,
-                                        FactorModel& model) {
+Status DecodeSgdSnapshotInto(std::string_view payload,
+                             std::uint64_t expected_fingerprint,
+                             const SgdTrainerConfig& config, SgdState& state,
+                             FactorModel& model) {
   ByteReader r(payload);
   const std::uint64_t fingerprint = r.GetU64();
   if (r.ok() && fingerprint != expected_fingerprint) {
@@ -232,45 +185,34 @@ StatusOr<SgdProgress> DecodeSgdSnapshot(std::string_view payload,
         "trainer checkpoint belongs to a different run (fingerprint "
         "mismatch)");
   }
-  SgdProgress progress;
-  progress.epochs_run = r.GetU64();
-  progress.learning_rate = r.GetF64();
-  progress.best_validation = r.GetF64();
-  progress.epochs_without_improvement = r.GetU64();
-  progress.early_stopped = r.GetBool();
-  progress.finished = r.GetBool();
-  if (Status status =
-          GetDoublesInto(r, progress.train_rmse, false, "train_rmse");
+  TrainingReport& report = state.report;
+  const std::uint64_t epochs_run = r.GetU64();
+  state.learning_rate = r.GetF64();
+  state.best_validation = r.GetF64();
+  state.epochs_without_improvement = static_cast<int>(r.GetU64());
+  report.early_stopped = r.GetBool();
+  r.GetBool();  // finished: implied by early_stopped and epochs_run
+  if (Status status = GetDoublesInto(r, report.train_rmse, false,
+                                     "train_rmse");
       !status.ok()) {
     return status;
   }
-  if (Status status = GetDoublesInto(r, progress.validation_rmse, false,
+  if (Status status = GetDoublesInto(r, report.validation_rmse, false,
                                      "validation_rmse");
       !status.ok()) {
     return status;
   }
   const std::string_view model_bytes = r.GetBytes();
-  if (!r.AtEnd()) {
+  if (!r.AtEnd() ||
+      epochs_run > static_cast<std::uint64_t>(config.max_epochs)) {
     return Status::InvalidArgument("malformed trainer checkpoint payload");
   }
-  if (Status status = DecodeFactorModelInto(model_bytes, model);
-      !status.ok()) {
-    return status;
-  }
-  return progress;
-}
-
-TrainingReport ReportFromProgress(const SgdProgress& progress) {
-  TrainingReport report;
-  report.train_rmse = progress.train_rmse;
-  report.validation_rmse = progress.validation_rmse;
-  report.epochs_run = static_cast<int>(progress.epochs_run);
-  report.early_stopped = progress.early_stopped;
+  report.epochs_run = static_cast<int>(epochs_run);
   report.final_train_rmse =
       report.train_rmse.empty() ? 0.0 : report.train_rmse.back();
   report.final_validation_rmse =
       report.validation_rmse.empty() ? 0.0 : report.validation_rmse.back();
-  return report;
+  return DecodeFactorModelInto(model_bytes, model);
 }
 
 }  // namespace
@@ -343,165 +285,38 @@ StatusOr<TrainingReport> TrainSgdDurable(
   Fs& fs = ResolveFs(checkpoint.fs);
   const std::uint64_t fingerprint = SgdFingerprint(config, data, model);
 
-  SgdProgress progress;
-  progress.learning_rate = config.learning_rate;
+  SgdState state(config);
   StatusOr<std::string> snapshot =
       ReadSnapshot(fs, checkpoint.path, checkpoint.keep_generations);
   if (snapshot.ok()) {
-    StatusOr<SgdProgress> decoded =
-        DecodeSgdSnapshot(snapshot.value(), fingerprint, model);
-    if (!decoded.ok()) return decoded.status();
-    progress = std::move(decoded).value();
-    if (progress.finished) return ReportFromProgress(progress);
-  } else if (snapshot.status().code() != StatusCode::kNotFound) {
-    return snapshot.status();
-  }
-
-  // Recreate the stochastic schedule exactly: same seed, same split, and
-  // one shuffle per already-snapshotted epoch. This reproduces both the
-  // RNG state and the training-permutation state at the resume point, so
-  // the continued run is bit-identical to an uninterrupted one.
-  Rng rng(config.seed);
-  TrainHoldoutSplit split =
-      SplitRatings(data.num_ratings(), config.validation_fraction, rng);
-  const bool has_validation = !split.holdout.empty();
-  for (std::uint64_t epoch = 0; epoch < progress.epochs_run; ++epoch) {
-    rng.Shuffle(split.train);
-  }
-
-  const auto ratings = data.ratings();
-  for (std::uint64_t epoch = progress.epochs_run;
-       epoch < static_cast<std::uint64_t>(config.max_epochs); ++epoch) {
-    rng.Shuffle(split.train);
-    for (std::size_t idx : split.train) {
-      model.SgdStep(ratings[idx], progress.learning_rate);
-    }
-    progress.learning_rate *= config.lr_decay;
-    ++progress.epochs_run;
-
-    progress.train_rmse.push_back(model.EvaluateRmse(data, split.train));
-    if (has_validation) {
-      const double validation_rmse = model.EvaluateRmse(data, split.holdout);
-      progress.validation_rmse.push_back(validation_rmse);
-      if (validation_rmse + 1e-6 < progress.best_validation) {
-        progress.best_validation = validation_rmse;
-        progress.epochs_without_improvement = 0;
-      } else if (++progress.epochs_without_improvement >=
-                 static_cast<std::uint64_t>(config.patience)) {
-        progress.early_stopped = true;
-      }
-    }
-    progress.finished =
-        progress.early_stopped ||
-        progress.epochs_run == static_cast<std::uint64_t>(config.max_epochs);
-
-    if (progress.finished ||
-        progress.epochs_run %
-                static_cast<std::uint64_t>(checkpoint.every_epochs) ==
-            0) {
-      if (Status status = WriteSnapshot(
-              fs, checkpoint.path, checkpoint.keep_generations,
-              EncodeSgdSnapshot(fingerprint, progress, model));
-          !status.ok()) {
-        return status;
-      }
-      CCDB_CRASH_POINT("sgd.checkpoint");
-    }
-    if (progress.finished) break;
-  }
-  return ReportFromProgress(progress);
-}
-
-StatusOr<AlsReport> TrainAlsDurable(
-    const AlsTrainerConfig& config, const RatingDataset& data,
-    FactorModel& model, const TrainerCheckpointOptions& checkpoint) {
-  if (checkpoint.path.empty()) {
-    return Status::InvalidArgument("TrainerCheckpointOptions.path is empty");
-  }
-  if (checkpoint.every_epochs <= 0) {
-    return Status::InvalidArgument("every_epochs must be > 0");
-  }
-  if (checkpoint.keep_generations < 1) {
-    return Status::InvalidArgument("keep_generations must be >= 1");
-  }
-  if (model.config().kind != ModelKind::kSvdDotProduct) {
-    return Status::InvalidArgument(
-        "ALS supports the SVD dot-product model only");
-  }
-  if (config.sweeps <= 0) {
-    return Status::InvalidArgument("sweeps must be positive");
-  }
-  Fs& fs = ResolveFs(checkpoint.fs);
-  const std::uint64_t fingerprint = AlsFingerprint(config, data, model);
-
-  std::uint64_t sweeps_done = 0;
-  std::vector<double> rmse_per_sweep;
-  StatusOr<std::string> snapshot =
-      ReadSnapshot(fs, checkpoint.path, checkpoint.keep_generations);
-  if (snapshot.ok()) {
-    ByteReader r(snapshot.value());
-    const std::uint64_t stored = r.GetU64();
-    if (r.ok() && stored != fingerprint) {
-      return Status::InvalidArgument(
-          "ALS checkpoint belongs to a different run (fingerprint "
-          "mismatch)");
-    }
-    sweeps_done = r.GetU64();
     if (Status status =
-            GetDoublesInto(r, rmse_per_sweep, false, "rmse_per_sweep");
+            DecodeSgdSnapshotInto(snapshot.value(), fingerprint, config,
+                                  state, model);
         !status.ok()) {
       return status;
     }
-    const std::string_view model_bytes = r.GetBytes();
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("malformed ALS checkpoint payload");
-    }
-    if (Status status = DecodeFactorModelInto(model_bytes, model);
-        !status.ok()) {
-      return status;
-    }
+    if (Finished(config, state)) return std::move(state.report);
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
   }
 
-  // Remaining sweeps run through the plain trainer one sweep at a time so
-  // each completed sweep can be snapshotted. ALS is deterministic, so k
-  // snapshotted + (n - k) fresh sweeps equal n uninterrupted ones.
-  AlsTrainerConfig one_sweep = config;
-  one_sweep.sweeps = 1;
-  for (std::uint64_t sweep = sweeps_done;
-       sweep < static_cast<std::uint64_t>(config.sweeps); ++sweep) {
-    StatusOr<AlsReport> report = TrainAls(one_sweep, data, model);
-    if (!report.ok()) return report.status();
-    rmse_per_sweep.push_back(report.value().final_rmse);
-    ++sweeps_done;
-
-    const bool finished =
-        sweeps_done == static_cast<std::uint64_t>(config.sweeps);
-    if (finished || sweeps_done % static_cast<std::uint64_t>(
-                                      checkpoint.every_epochs) ==
-                        0) {
-      ByteWriter w;
-      w.PutU64(fingerprint);
-      w.PutU64(sweeps_done);
-      PutDoubles(w, rmse_per_sweep);
-      w.PutBytes(EncodeFactorModel(model));
-      if (Status status = WriteSnapshot(fs, checkpoint.path,
-                                        checkpoint.keep_generations,
-                                        w.bytes());
-          !status.ok()) {
-        return status;
-      }
-      CCDB_CRASH_POINT("als.checkpoint");
-    }
-  }
-
-  AlsReport report;
-  report.rmse_per_sweep = std::move(rmse_per_sweep);
-  report.sweeps_run = static_cast<int>(sweeps_done);
-  report.final_rmse =
-      report.rmse_per_sweep.empty() ? 0.0 : report.rmse_per_sweep.back();
-  return report;
+  const Status status = RunSgdEpochs(
+      config, data, model, state, [&](const SgdState& epoch_state) {
+        if (!Finished(config, epoch_state) &&
+            epoch_state.report.epochs_run % checkpoint.every_epochs != 0) {
+          return Status::Ok();
+        }
+        if (Status written = WriteSnapshot(
+                fs, checkpoint.path, checkpoint.keep_generations,
+                EncodeSgdSnapshot(fingerprint, config, epoch_state, model));
+            !written.ok()) {
+          return written;
+        }
+        CCDB_CRASH_POINT("sgd.checkpoint");
+        return Status::Ok();
+      });
+  if (!status.ok()) return status;
+  return std::move(state.report);
 }
 
 }  // namespace ccdb::factorization

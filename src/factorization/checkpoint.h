@@ -6,14 +6,13 @@
 
 #include "common/io.h"
 #include "common/status.h"
-#include "factorization/als_trainer.h"
 #include "factorization/factor_model.h"
 #include "factorization/sgd_trainer.h"
 
 namespace ccdb::factorization {
 
 /// Epoch-level trainer durability: where (and how often) the durable
-/// trainers snapshot their state. Snapshots are single files replaced via
+/// trainer snapshots its state. Snapshots are single files replaced via
 /// write-to-temp + fsync + rename + parent-directory fsync, so a crash
 /// mid-write leaves the previous snapshot intact; a CRC over the payload
 /// rejects bit rot. Older snapshot generations are kept at `path.1`,
@@ -21,10 +20,10 @@ namespace ccdb::factorization {
 /// (magic/CRC) it is renamed aside to `path.corrupt*` (never deleted) and
 /// loading falls back to the newest older valid generation.
 struct TrainerCheckpointOptions {
-  /// Snapshot file path. Must be non-empty for the durable trainers.
+  /// Snapshot file path. Must be non-empty.
   std::string path;
-  /// Snapshot cadence in epochs (SGD) or sweeps (ALS). The final state is
-  /// always snapshotted regardless of cadence.
+  /// Snapshot cadence in epochs. The final state is always snapshotted
+  /// regardless of cadence.
   int every_epochs = 1;
   /// Total snapshot generations kept on disk (current + keep-1 older).
   /// Must be >= 1; 1 disables the fallback ladder.
@@ -50,15 +49,11 @@ Status DecodeFactorModelInto(std::string_view bytes, FactorModel& model);
 /// shape, model config), training fast-forwards the RNG schedule and
 /// resumes from the snapshotted epoch; the final model and report are
 /// bit-identical to an uninterrupted run. A snapshot from a different run
-/// is rejected with InvalidArgument.
+/// is rejected with InvalidArgument. Runs the same epoch loop as TrainSgd,
+/// so `config.stop` ends it at an epoch boundary with the report's
+/// stop_status set; the epochs since the last snapshot are not snapshotted.
 [[nodiscard]] StatusOr<TrainingReport> TrainSgdDurable(
     const SgdTrainerConfig& config, const RatingDataset& data,
-    FactorModel& model, const TrainerCheckpointOptions& checkpoint);
-
-/// Durable TrainAls: sweep-level snapshots with the same semantics (ALS is
-/// deterministic, so resume needs no RNG fast-forward).
-[[nodiscard]] StatusOr<AlsReport> TrainAlsDurable(
-    const AlsTrainerConfig& config, const RatingDataset& data,
     FactorModel& model, const TrainerCheckpointOptions& checkpoint);
 
 }  // namespace ccdb::factorization

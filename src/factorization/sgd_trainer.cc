@@ -1,13 +1,60 @@
 #include "factorization/sgd_trainer.h"
 
-#include <algorithm>
-#include <limits>
-#include <numeric>
-
 #include "common/check.h"
 #include "common/rng.h"
+#include "factorization/sgd_loop.h"
 
 namespace ccdb::factorization {
+
+Status RunSgdEpochs(const SgdTrainerConfig& config, const RatingDataset& data,
+                    FactorModel& model, SgdState& state,
+                    const std::function<Status(const SgdState&)>& on_epoch) {
+  // Recreate the stochastic schedule exactly: same seed, same split, and
+  // one shuffle per epoch already run. This reproduces both the RNG state
+  // and the training permutation, so a resumed run is bit-identical to an
+  // uninterrupted one.
+  Rng rng(config.seed);
+  TrainHoldoutSplit split =
+      SplitRatings(data.num_ratings(), config.validation_fraction, rng);
+  const bool has_validation = !split.holdout.empty();
+  TrainingReport& report = state.report;
+  for (int epoch = 0; epoch < report.epochs_run; ++epoch) {
+    rng.Shuffle(split.train);
+  }
+
+  const auto ratings = data.ratings();
+  for (int epoch = report.epochs_run; epoch < config.max_epochs; ++epoch) {
+    if (config.stop.ShouldStop()) {
+      report.stop_status = config.stop.ToStatus("SGD training");
+      break;
+    }
+    rng.Shuffle(split.train);
+    const double lr = state.learning_rate;
+    for (std::size_t idx : split.train) {
+      model.SgdStep(ratings[idx], lr);
+    }
+    state.learning_rate *= config.lr_decay;
+    ++report.epochs_run;
+
+    report.final_train_rmse = model.EvaluateRmse(data, split.train);
+    report.train_rmse.push_back(report.final_train_rmse);
+    if (has_validation) {
+      report.final_validation_rmse = model.EvaluateRmse(data, split.holdout);
+      report.validation_rmse.push_back(report.final_validation_rmse);
+      if (report.final_validation_rmse + 1e-6 < state.best_validation) {
+        state.best_validation = report.final_validation_rmse;
+        state.epochs_without_improvement = 0;
+      } else if (++state.epochs_without_improvement >= config.patience) {
+        report.early_stopped = true;
+      }
+    }
+    if (on_epoch) {
+      if (Status status = on_epoch(state); !status.ok()) return status;
+    }
+    if (report.early_stopped) break;
+  }
+  return Status::Ok();
+}
 
 TrainingReport TrainSgd(const SgdTrainerConfig& config,
                         const RatingDataset& data, FactorModel& model) {
@@ -16,96 +63,10 @@ TrainingReport TrainSgd(const SgdTrainerConfig& config,
   CCDB_CHECK_GT(config.lr_decay, 0.0);
   CCDB_CHECK_LE(config.lr_decay, 1.0);
 
-  Rng rng(config.seed);
-  TrainHoldoutSplit split =
-      SplitRatings(data.num_ratings(), config.validation_fraction, rng);
-  const bool has_validation = !split.holdout.empty();
-
-  TrainingReport report;
-  const auto ratings = data.ratings();
-  double lr = config.learning_rate;
-  double best_validation = std::numeric_limits<double>::infinity();
-  int epochs_without_improvement = 0;
-
-  for (int epoch = 0; epoch < config.max_epochs; ++epoch) {
-    if (config.stop.ShouldStop()) {
-      report.stop_status = config.stop.ToStatus("SGD training");
-      break;
-    }
-    rng.Shuffle(split.train);
-    for (std::size_t idx : split.train) {
-      model.SgdStep(ratings[idx], lr);
-    }
-    lr *= config.lr_decay;
-    ++report.epochs_run;
-
-    report.train_rmse.push_back(model.EvaluateRmse(data, split.train));
-    if (has_validation) {
-      const double validation_rmse =
-          model.EvaluateRmse(data, split.holdout);
-      report.validation_rmse.push_back(validation_rmse);
-      if (validation_rmse + 1e-6 < best_validation) {
-        best_validation = validation_rmse;
-        epochs_without_improvement = 0;
-      } else if (++epochs_without_improvement >= config.patience) {
-        report.early_stopped = true;
-        break;
-      }
-    }
-  }
-
-  report.final_train_rmse =
-      report.train_rmse.empty() ? 0.0 : report.train_rmse.back();
-  report.final_validation_rmse =
-      report.validation_rmse.empty() ? 0.0 : report.validation_rmse.back();
-  return report;
-}
-
-std::vector<CrossValidationCell> GridSearch(
-    const RatingDataset& data, ModelKind kind,
-    const std::vector<std::size_t>& dims_grid,
-    const std::vector<double>& lambda_grid, const SgdTrainerConfig& config,
-    double holdout_fraction) {
-  CCDB_CHECK(!dims_grid.empty());
-  CCDB_CHECK(!lambda_grid.empty());
-  CCDB_CHECK_GT(holdout_fraction, 0.0);
-
-  std::vector<CrossValidationCell> cells;
-  cells.reserve(dims_grid.size() * lambda_grid.size());
-  for (std::size_t dims : dims_grid) {
-    for (double lambda : lambda_grid) {
-      FactorModelConfig model_config;
-      model_config.kind = kind;
-      model_config.dims = dims;
-      model_config.lambda = lambda;
-      model_config.seed = config.seed + cells.size() + 1;
-      FactorModel model(model_config, data);
-
-      SgdTrainerConfig trainer_config = config;
-      trainer_config.validation_fraction = holdout_fraction;
-      const TrainingReport report = TrainSgd(trainer_config, data, model);
-
-      CrossValidationCell cell;
-      cell.dims = dims;
-      cell.lambda = lambda;
-      cell.validation_rmse = report.validation_rmse.empty()
-                                 ? report.final_train_rmse
-                                 : *std::min_element(
-                                       report.validation_rmse.begin(),
-                                       report.validation_rmse.end());
-      cells.push_back(cell);
-    }
-  }
-  return cells;
-}
-
-CrossValidationCell BestCell(const std::vector<CrossValidationCell>& cells) {
-  CCDB_CHECK(!cells.empty());
-  return *std::min_element(cells.begin(), cells.end(),
-                           [](const CrossValidationCell& a,
-                              const CrossValidationCell& b) {
-                             return a.validation_rmse < b.validation_rmse;
-                           });
+  SgdState state(config);
+  // Without an epoch hook nothing in the loop can fail.
+  CCDB_CHECK(RunSgdEpochs(config, data, model, state, nullptr).ok());
+  return std::move(state.report);
 }
 
 }  // namespace ccdb::factorization

@@ -17,7 +17,6 @@
 #include "crowd/dispatcher.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
-#include "factorization/als_trainer.h"
 #include "factorization/sgd_trainer.h"
 #include "svm/smo_solver.h"
 #include "svm/tsvm.h"
@@ -182,26 +181,6 @@ TEST(TrainerCancellationTest, MidTrainingCancelStopsWithinOneEpoch) {
   // The partial model is intact and usable.
   EXPECT_EQ(static_cast<std::size_t>(report.epochs_run),
             report.train_rmse.size());
-}
-
-TEST(TrainerCancellationTest, PreCancelledAlsRunsZeroSweeps) {
-  const RatingDataset data = SmallDataset(5);
-  factorization::FactorModelConfig model_config;
-  model_config.dims = 4;
-  model_config.kind = factorization::ModelKind::kSvdDotProduct;
-  factorization::FactorModel model(model_config, data);
-  CancellationSource source;
-  source.Cancel();
-  factorization::AlsTrainerConfig config;
-  config.sweeps = 10;
-  config.threads = 2;
-  config.stop = StopCondition(source.token());
-  const auto report = TrainAls(config, data, model);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().sweeps_run, 0);
-  EXPECT_TRUE(report.value().rmse_per_sweep.empty());
-  EXPECT_DOUBLE_EQ(report.value().final_rmse, 0.0);
-  EXPECT_EQ(report.value().stop_status.code(), StatusCode::kCancelled);
 }
 
 // ------------------------------------------------------------------- SVM

@@ -5,7 +5,6 @@
 #include "common/rng.h"
 #include "common/vec.h"
 #include "factorization/factor_model.h"
-#include "factorization/als_trainer.h"
 #include "factorization/sgd_trainer.h"
 
 namespace ccdb::factorization {
@@ -227,77 +226,6 @@ TEST(SgdTrainerTest, EuclideanRecoversNeighborhoodStructure) {
   EXPECT_LT(intra, inter * 0.8);
 }
 
-TEST(AlsTrainerTest, FitsPlantedSvdData) {
-  const RatingDataset data =
-      MakePlantedDataset(ModelKind::kSvdDotProduct, 60, 200, 4, 0.25, 81);
-  FactorModelConfig config;
-  config.kind = ModelKind::kSvdDotProduct;
-  config.dims = 8;
-  config.lambda = 0.02;
-  config.seed = 5;
-  FactorModel model(config, data);
-  AlsTrainerConfig als;
-  als.sweeps = 8;
-  als.threads = 2;
-  const auto report = TrainAls(als, data, model);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().sweeps_run, 8);
-  EXPECT_LT(report.value().final_rmse, 0.2);
-}
-
-TEST(AlsTrainerTest, RmseMonotonicallyNonIncreasing) {
-  const RatingDataset data =
-      MakePlantedDataset(ModelKind::kSvdDotProduct, 40, 120, 3, 0.3, 83);
-  FactorModelConfig config;
-  config.kind = ModelKind::kSvdDotProduct;
-  config.dims = 6;
-  FactorModel model(config, data);
-  AlsTrainerConfig als;
-  als.sweeps = 6;
-  const auto report = TrainAls(als, data, model);
-  ASSERT_TRUE(report.ok());
-  const auto& rmse = report.value().rmse_per_sweep;
-  for (std::size_t s = 1; s < rmse.size(); ++s) {
-    EXPECT_LE(rmse[s], rmse[s - 1] + 1e-6);  // ALS is a descent method
-  }
-}
-
-TEST(AlsTrainerTest, RejectsEuclideanModel) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 20, 40, 3, 0.4, 85);
-  FactorModelConfig config;
-  config.kind = ModelKind::kEuclideanEmbedding;
-  config.dims = 4;
-  FactorModel model(config, data);
-  const auto report = TrainAls(AlsTrainerConfig{}, data, model);
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(AlsTrainerTest, ComparableToSgdOnSameData) {
-  const RatingDataset data =
-      MakePlantedDataset(ModelKind::kSvdDotProduct, 60, 200, 4, 0.25, 87);
-  FactorModelConfig config;
-  config.kind = ModelKind::kSvdDotProduct;
-  config.dims = 8;
-  config.lambda = 0.02;
-
-  FactorModel sgd_model(config, data);
-  SgdTrainerConfig sgd;
-  sgd.max_epochs = 40;
-  const TrainingReport sgd_report = TrainSgd(sgd, data, sgd_model);
-
-  FactorModel als_model(config, data);
-  AlsTrainerConfig als;
-  als.sweeps = 10;
-  const auto als_report = TrainAls(als, data, als_model);
-  ASSERT_TRUE(als_report.ok());
-
-  // Both solvers reach the same quality regime on the same problem.
-  EXPECT_NEAR(als_report.value().final_rmse, sgd_report.final_train_rmse,
-              0.15);
-}
-
 // Planted dataset with per-item temporal drift on top of the static model.
 RatingDataset MakeDriftingDataset(std::size_t num_items,
                                   std::size_t num_users, double drift,
@@ -382,23 +310,6 @@ TEST(TemporalModelTest, PredictAtMatchesPredictForSingleBin) {
   config.time_bins = 1;
   FactorModel model(config, data);
   EXPECT_DOUBLE_EQ(model.Predict(3, 7), model.PredictAt(3, 7, 123.0));
-}
-
-TEST(GridSearchTest, FindsReasonableCell) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 40, 150, 3, 0.3, 71);
-  SgdTrainerConfig trainer;
-  trainer.max_epochs = 15;
-  trainer.learning_rate = 0.02;
-  const auto cells = GridSearch(data, ModelKind::kEuclideanEmbedding,
-                                {2, 6}, {0.02, 0.5}, trainer, 0.2);
-  ASSERT_EQ(cells.size(), 4u);
-  const CrossValidationCell best = BestCell(cells);
-  // Heavy regularization (λ=0.5) must not win on well-structured data.
-  EXPECT_LT(best.lambda, 0.5);
-  for (const auto& cell : cells) {
-    EXPECT_GE(cell.validation_rmse, best.validation_rmse);
-  }
 }
 
 }  // namespace

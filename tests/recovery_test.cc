@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/crash_point.h"
 #include "common/journal.h"
 #include "common/rng.h"
@@ -514,40 +515,74 @@ TEST_F(TrainerRecoveryTest, SgdCheckpointOfDifferentRunIsRejected) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(TrainerRecoveryTest, AlsCrashAtSweepThenResumeIsBitIdentical) {
-  const RatingDataset data = MakeData(47);
+TEST_F(TrainerRecoveryTest, PreCancelledDurableSgdRunsZeroEpochs) {
+  const RatingDataset data = MakeData(45);
   factorization::FactorModelConfig model_config;
-  model_config.kind = factorization::ModelKind::kSvdDotProduct;
   model_config.dims = 6;
-  factorization::AlsTrainerConfig trainer;
-  trainer.sweeps = 5;
-  trainer.threads = 2;
+  factorization::SgdTrainerConfig trainer;
+  trainer.max_epochs = 4;
+  trainer.validation_fraction = 0.2;
 
   factorization::FactorModel reference(model_config, data);
-  auto baseline = TrainAls(trainer, data, reference);
-  ASSERT_TRUE(baseline.ok());
+  const auto baseline = TrainSgd(trainer, data, reference);
 
-  for (std::uint64_t crash_sweep : {1u, 3u, 5u}) {
-    SCOPED_TRACE("crash at sweep " + std::to_string(crash_sweep));
-    factorization::TrainerCheckpointOptions checkpoint;
-    checkpoint.path =
-        FreshPath("als_crash_" + std::to_string(crash_sweep) + ".ckpt");
+  factorization::TrainerCheckpointOptions checkpoint;
+  checkpoint.path = FreshPath("sgd_cancelled.ckpt");
+  CancellationSource source;
+  source.Cancel();
+  factorization::SgdTrainerConfig stopped = trainer;
+  stopped.stop = StopCondition(source.token());
+  factorization::FactorModel cancelled(model_config, data);
+  auto report = TrainSgdDurable(stopped, data, cancelled, checkpoint);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().stop_status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(report.value().epochs_run, 0);
+  EXPECT_TRUE(report.value().train_rmse.empty());
+  // No epoch completed, so nothing was snapshotted.
+  auto exists = Fs::Posix().Exists(checkpoint.path);
+  ASSERT_TRUE(exists.ok());
+  EXPECT_FALSE(exists.value());
 
-    factorization::FactorModel crashed(model_config, data);
-    CrashPoints::Arm("als.checkpoint", crash_sweep);
-    EXPECT_THROW(
-        { auto r = TrainAlsDurable(trainer, data, crashed, checkpoint); },
-        SimulatedCrash);
-    CrashPoints::Disarm();
+  // An unstopped run on the same path trains from scratch and matches the
+  // plain trainer bit for bit.
+  factorization::FactorModel resumed(model_config, data);
+  auto full = TrainSgdDurable(trainer, data, resumed, checkpoint);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_TRUE(full.value().stop_status.ok());
+  ExpectSameModel(reference, resumed);
+  EXPECT_EQ(full.value().train_rmse, baseline.train_rmse);
+  EXPECT_EQ(full.value().validation_rmse, baseline.validation_rmse);
+  EXPECT_EQ(full.value().epochs_run, baseline.epochs_run);
+}
 
-    factorization::FactorModel resumed(model_config, data);
-    auto report = TrainAlsDurable(trainer, data, resumed, checkpoint);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectSameModel(reference, resumed);
-    EXPECT_EQ(report.value().rmse_per_sweep,
-              baseline.value().rmse_per_sweep);
-    EXPECT_EQ(report.value().sweeps_run, baseline.value().sweeps_run);
-  }
+TEST_F(TrainerRecoveryTest, SnapshotClaimingExtraEpochsIsRejected) {
+  const RatingDataset data = MakeData(49);
+  factorization::FactorModelConfig model_config;
+  model_config.dims = 6;
+  factorization::SgdTrainerConfig trainer;
+  trainer.max_epochs = 3;
+
+  factorization::TrainerCheckpointOptions checkpoint;
+  checkpoint.path = FreshPath("sgd_extra_epochs.ckpt");
+  factorization::FactorModel model(model_config, data);
+  ASSERT_TRUE(TrainSgdDurable(trainer, data, model, checkpoint).ok());
+
+  // Re-seal the snapshot with epochs_run (the u64 after the fingerprint)
+  // beyond max_epochs: a valid envelope around an impossible state.
+  auto file = ReadFileToString(checkpoint.path);
+  ASSERT_TRUE(file.ok());
+  auto payload = UnsealSnapshot("CCDBCKP1", file.value(), checkpoint.path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  std::string forged(payload.value());
+  ByteWriter epochs;
+  epochs.PutU64(1000);
+  forged.replace(8, 8, epochs.bytes());
+  ASSERT_TRUE(
+      AtomicWriteFile(checkpoint.path, SealSnapshot("CCDBCKP1", forged)).ok());
+
+  factorization::FactorModel resumed(model_config, data);
+  auto report = TrainSgdDurable(trainer, data, resumed, checkpoint);
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Flips one payload bit in the snapshot file at `path`.

@@ -202,41 +202,6 @@ TEST(SvmClassifierTest, PredictAllMatchesPredict) {
   }
 }
 
-TEST(SvmModelIoTest, SaveLoadRoundTrip) {
-  Rng rng(111);
-  Matrix x(40, 3);
-  x.FillGaussian(rng, 0.0, 1.0);
-  std::vector<std::int8_t> y(40);
-  for (std::size_t i = 0; i < 40; ++i) y[i] = x(i, 0) > 0 ? 1 : -1;
-  ClassifierOptions options;
-  options.kernel.type = KernelType::kRbf;
-  options.kernel.gamma = 0.7;
-  options.cost = 5.0;
-  const SvmModel model = TrainClassifier(x, y, options);
-
-  const std::string path = ::testing::TempDir() + "/svm_roundtrip.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  auto loaded = SvmModel::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_support_vectors(),
-            model.num_support_vectors());
-  EXPECT_DOUBLE_EQ(loaded.value().rho(), model.rho());
-  for (std::size_t i = 0; i < 40; ++i) {
-    EXPECT_DOUBLE_EQ(loaded.value().DecisionValue(x.Row(i)),
-                     model.DecisionValue(x.Row(i)));
-  }
-}
-
-TEST(SvmModelIoTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/svm_garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("definitely not an svm", f);
-  std::fclose(f);
-  EXPECT_FALSE(SvmModel::LoadFromFile(path).ok());
-  EXPECT_FALSE(SvmModel::LoadFromFile("/no/such/file").ok());
-}
-
 // ---------------------------------------------------------------- Platt
 
 TEST(PlattScalerTest, CalibratesSeparableScores) {
