@@ -8,6 +8,7 @@
 #include "common/stopwatch.h"
 #include "core/extractor.h"
 #include "eval/metrics.h"
+#include "factorization/sgd_trainer.h"
 
 namespace ccdb::benchutil {
 
@@ -54,12 +55,20 @@ core::PerceptualSpace BuildOrLoadSpace(
     fingerprint ^= word + 0x9E3779B97F4A7C15ull + (fingerprint << 6) +
                    (fingerprint >> 2);
   }
+  // Every model and trainer input that shapes the trained space, plus the
+  // SGD schedule version: a space trained any other way is never served.
+  const factorization::FactorModelConfig& model = options.model;
+  const factorization::SgdTrainerConfig& trainer = options.trainer;
   std::ostringstream key;
   key << tag << '-' << ratings.num_items() << '-' << ratings.num_users()
       << '-' << ratings.num_ratings() << '-' << std::hex << fingerprint
-      << std::dec << '-' << options.model.dims << '-'
-      << options.model.lambda << '-' << options.trainer.max_epochs << '-'
-      << options.trainer.learning_rate << ".bin";
+      << std::dec << "-k" << static_cast<int>(model.kind) << '-'
+      << model.dims << '-' << model.lambda << '-' << model.init_scale << '-'
+      << model.time_bins << '-' << model.timeline_days << '-' << model.seed
+      << "-e" << trainer.max_epochs << '-' << trainer.learning_rate << '-'
+      << trainer.lr_decay << '-' << trainer.validation_fraction << '-'
+      << trainer.patience << '-' << trainer.seed << "-s"
+      << factorization::kSgdScheduleVersion << ".bin";
   const std::filesystem::path cache_dir = "ccdb_space_cache";
   const std::filesystem::path cache_path = cache_dir / key.str();
 

@@ -1,5 +1,5 @@
 // Google-benchmark micro benchmarks for the performance-critical kernels:
-// SGD training throughput, SMO training, RBF batch prediction, kNN
+// SGD epoch throughput (one thread and the shared pool), SMO training, RBF batch prediction, kNN
 // queries, majority voting, and SQL parsing. These quantify the costs the
 // paper's performance argument rests on (space build is offline; per-query
 // extraction is milliseconds).
@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/vec.h"
 #include "core/extractor.h"
 #include "core/perceptual_space.h"
@@ -18,6 +19,7 @@
 #include "db/sql_parser.h"
 #include "eval/neighbors.h"
 #include "factorization/factor_model.h"
+#include "factorization/sgd_loop.h"
 #include "factorization/sgd_trainer.h"
 #include "lsi/lsi.h"
 #include "svm/classifier.h"
@@ -54,20 +56,37 @@ const core::PerceptualSpace& TinySpace() {
   return *kSpace;
 }
 
-void BM_SgdEpoch(benchmark::State& state) {
+// One RunSgdEpochs epoch (block grid, B parallel sub-epochs, train RMSE)
+// on `pool`. On a 1-thread pool it measures the single-thread cost of the
+// schedule; on the shared pool, its thread scaling.
+void SgdEpoch(benchmark::State& state, ThreadPool& pool) {
   const RatingDataset& ratings = TinyRatings();
   factorization::FactorModelConfig config;
   config.dims = static_cast<std::size_t>(state.range(0));
   factorization::FactorModel model(config, ratings);
+  factorization::SgdTrainerConfig trainer;
+  trainer.max_epochs = 1;
+  trainer.learning_rate = 0.02;
   for (auto _ : state) {
-    for (const Rating& rating : ratings.ratings()) {
-      model.SgdStep(rating, 0.02);
-    }
+    factorization::SgdState sgd(trainer);
+    const Status status = factorization::RunSgdEpochs(
+        trainer, ratings, model, sgd, nullptr, pool);
+    benchmark::DoNotOptimize(status.ok());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(ratings.num_ratings()));
 }
-BENCHMARK(BM_SgdEpoch)->Arg(25)->Arg(100);
+
+void BM_SgdEpoch(benchmark::State& state) {
+  ThreadPool pool(1);
+  SgdEpoch(state, pool);
+}
+BENCHMARK(BM_SgdEpoch)->Arg(25)->Arg(100)->UseRealTime();
+
+void BM_SgdEpochShared(benchmark::State& state) {
+  SgdEpoch(state, SharedThreadPool());
+}
+BENCHMARK(BM_SgdEpochShared)->Arg(25)->Arg(100)->UseRealTime();
 
 void BM_SmoTrain(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

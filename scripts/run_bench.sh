@@ -24,6 +24,7 @@ build/bench/micro_benchmarks "${ARGS[@]}"
 
 python3 - "${RAW}" BENCH_perf.json <<'EOF'
 import json
+import os
 import sys
 
 raw_path, out_path = sys.argv[1], sys.argv[2]
@@ -66,8 +67,23 @@ for key, (before, after) in PAIRS.items():
         "speedup": round(b / a, 3) if a > 0 else None,
     }
 
+# Thread scaling, kept apart from the before/after pairs: one SGD epoch on
+# a 1-thread pool vs the same epoch on the shared pool (nproc workers).
+scaling = {}
+for dims in (25, 100):
+    one = times.get(f"BM_SgdEpoch/{dims}")
+    shared = times.get(f"BM_SgdEpochShared/{dims}")
+    if one is None or shared is None:
+        continue
+    scaling[f"sgd_epoch_d{dims}"] = {
+        "one_thread_ns": one["real_time_ns"],
+        "shared_pool_ns": shared["real_time_ns"],
+        "scaling": round(one["real_time_ns"] / shared["real_time_ns"], 3),
+    }
+
 result = {
     "generated_by": "scripts/run_bench.sh",
+    "nproc": os.cpu_count(),
     "config": {
         "items": 10000,
         "dims": 40,
@@ -77,6 +93,7 @@ result = {
         "context": raw.get("context", {}),
     },
     "speedups": speedups,
+    "thread_scaling": scaling,
     "benchmarks": times,
 }
 with open(out_path, "w") as f:
@@ -86,4 +103,7 @@ with open(out_path, "w") as f:
 print(f"wrote {out_path}")
 for key, s in speedups.items():
     print(f"  {key}: {s['speedup']}x ({s['before_ns']:.0f} ns -> {s['after_ns']:.0f} ns)")
+for key, s in scaling.items():
+    print(f"  {key}: {s['scaling']}x on {os.cpu_count()} CPUs "
+          f"({s['one_thread_ns']:.0f} ns -> {s['shared_pool_ns']:.0f} ns)")
 EOF

@@ -85,19 +85,15 @@ double RatingDataset::Density() const {
          (static_cast<double>(num_items_) * static_cast<double>(num_users_));
 }
 
-TrainHoldoutSplit SplitRatings(std::size_t num_ratings,
+std::vector<bool> SplitRatings(std::size_t num_ratings,
                                double holdout_fraction, Rng& rng) {
   CCDB_CHECK_GE(holdout_fraction, 0.0);
   CCDB_CHECK_LT(holdout_fraction, 1.0);
-  TrainHoldoutSplit split;
+  std::vector<bool> held_out(num_ratings);
   for (std::size_t i = 0; i < num_ratings; ++i) {
-    if (rng.Bernoulli(holdout_fraction)) {
-      split.holdout.push_back(i);
-    } else {
-      split.train.push_back(i);
-    }
+    held_out[i] = rng.Bernoulli(holdout_fraction);
   }
-  return split;
+  return held_out;
 }
 
 }  // namespace ccdb

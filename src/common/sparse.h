@@ -82,13 +82,11 @@ class RatingDataset {
   std::vector<RatingEntry> item_entries_;   // size num_ratings
 };
 
-/// Deterministically splits rating indices into train/holdout index lists
-/// with the given holdout fraction (used for cross-validating d and λ).
-struct TrainHoldoutSplit {
-  std::vector<std::size_t> train;
-  std::vector<std::size_t> holdout;
-};
-TrainHoldoutSplit SplitRatings(std::size_t num_ratings,
+/// Deterministically splits rating indices 0..num_ratings-1 into training
+/// and holdout ratings: one Bernoulli(holdout_fraction) draw per index, in
+/// index order. Returns the holdout mask (true = held out). The SGD trainer
+/// holds these ratings out of training to early-stop on their RMSE.
+std::vector<bool> SplitRatings(std::size_t num_ratings,
                                double holdout_fraction, Rng& rng);
 
 }  // namespace ccdb

@@ -34,6 +34,8 @@ class PerceptualSpace {
  public:
   /// Builds the space by factorizing `ratings` (this is the "about 2 hours
   /// on a notebook" step of Sec. 4.2, at our synthetic scale seconds).
+  /// Trains on SharedThreadPool(), so never call it from a task of that
+  /// pool.
   static PerceptualSpace Build(const RatingDataset& ratings,
                                const PerceptualSpaceOptions& options);
 

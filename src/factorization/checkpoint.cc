@@ -128,6 +128,7 @@ std::uint64_t SgdFingerprint(const SgdTrainerConfig& config,
                              const RatingDataset& data,
                              const FactorModel& model) {
   ByteWriter w;
+  w.PutU64(kSgdScheduleVersion);
   w.PutU64(static_cast<std::uint64_t>(config.max_epochs));
   w.PutF64(config.learning_rate);
   w.PutF64(config.lr_decay);
@@ -314,7 +315,8 @@ StatusOr<TrainingReport> TrainSgdDurable(
         }
         CCDB_CRASH_POINT("sgd.checkpoint");
         return Status::Ok();
-      });
+      },
+      SharedThreadPool());
   if (!status.ok()) return status;
   return std::move(state.report);
 }

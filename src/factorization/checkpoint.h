@@ -46,12 +46,14 @@ Status DecodeFactorModelInto(std::string_view bytes, FactorModel& model);
 /// Durable TrainSgd: snapshots (model + schedule state + telemetry) every
 /// `checkpoint.every_epochs` epochs via atomic rename. When the snapshot
 /// file already exists and matches this run's fingerprint (config, data
-/// shape, model config), training fast-forwards the RNG schedule and
-/// resumes from the snapshotted epoch; the final model and report are
-/// bit-identical to an uninterrupted run. A snapshot from a different run
-/// is rejected with InvalidArgument. Runs the same epoch loop as TrainSgd,
-/// so `config.stop` ends it at an epoch boundary with the report's
-/// stop_status set; the epochs since the last snapshot are not snapshotted.
+/// shape, model config, kSgdScheduleVersion), training resumes from the
+/// snapshotted epoch; the final model and report are bit-identical to an
+/// uninterrupted run. A snapshot from a different run, or one trained
+/// under another schedule version, is rejected with InvalidArgument. Runs
+/// the same epoch loop as TrainSgd, on SharedThreadPool() (so never call
+/// it from a task of that pool), and `config.stop` ends it at an epoch
+/// boundary with the report's stop_status set; the epochs since the last
+/// snapshot are not snapshotted.
 [[nodiscard]] StatusOr<TrainingReport> TrainSgdDurable(
     const SgdTrainerConfig& config, const RatingDataset& data,
     FactorModel& model, const TrainerCheckpointOptions& checkpoint);

@@ -146,19 +146,6 @@ void FactorModel::EuclideanStep(const Rating& rating, double lr) {
   }
 }
 
-double FactorModel::EvaluateRmse(const RatingDataset& data,
-                                 std::span<const std::size_t> indices) const {
-  if (indices.empty()) return 0.0;
-  const auto ratings = data.ratings();
-  double acc = 0.0;
-  for (std::size_t idx : indices) {
-    const Rating& r = ratings[idx];
-    const double diff = r.score - PredictAt(r.item, r.user, r.day);
-    acc += diff * diff;
-  }
-  return std::sqrt(acc / static_cast<double>(indices.size()));
-}
-
 double FactorModel::EvaluateRmse(const RatingDataset& data) const {
   const auto ratings = data.ratings();
   if (ratings.empty()) return 0.0;

@@ -45,7 +45,9 @@ struct FactorModelConfig {
 ///
 /// The class exposes Predict() and the raw factors; the SGD update rule is
 /// model-kind specific and implemented in SgdStep(). Thread-compatible:
-/// concurrent reads are safe, updates are not synchronized.
+/// concurrent reads are safe, updates are not synchronized. SgdStep on one
+/// rating writes only its item's and its user's rows (factors, bias, time
+/// bins), so steps on ratings sharing neither may run concurrently.
 class FactorModel {
  public:
   /// Initializes factors with small Gaussian noise and biases with the
@@ -89,10 +91,6 @@ class FactorModel {
   /// Performs one stochastic gradient step on a single rating with the
   /// given learning rate, using the model-kind specific gradient.
   void SgdStep(const Rating& rating, double learning_rate);
-
-  /// RMSE of the model over the given rating indices of `data`.
-  double EvaluateRmse(const RatingDataset& data,
-                      std::span<const std::size_t> indices) const;
 
   /// RMSE over all ratings of `data`.
   double EvaluateRmse(const RatingDataset& data) const;

@@ -10,11 +10,19 @@
 
 namespace ccdb::factorization {
 
+/// Version of the SGD schedule, i.e. of the order in which an epoch visits
+/// the ratings. Artifacts that persist a trained model (trainer snapshots,
+/// cached spaces) key on it, so none trained under another schedule is
+/// resumed or reused. Bump it whenever the visiting order changes.
+inline constexpr std::uint64_t kSgdScheduleVersion = 2;
+
 /// Stochastic-gradient-descent training schedule. The paper notes the
 /// optimization "can be solved efficiently using stochastic gradient
 /// descent … even on large data sets"; this trainer implements shuffled
 /// per-rating SGD with multiplicative learning-rate decay and optional
-/// early stopping on a validation holdout.
+/// early stopping on a validation holdout. Each epoch runs block-stratified
+/// on SharedThreadPool() (DSGD): the result is bit-identical for any pool
+/// size.
 struct SgdTrainerConfig {
   int max_epochs = 30;
   double learning_rate = 0.05;
@@ -49,6 +57,8 @@ struct TrainingReport {
 };
 
 /// Runs SGD over `data`, mutating `model` in place, and returns telemetry.
+/// Runs its epochs on SharedThreadPool(), so it must not be called from a
+/// task of that pool (a nested ParallelFor can deadlock it).
 TrainingReport TrainSgd(const SgdTrainerConfig& config,
                         const RatingDataset& data, FactorModel& model);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -347,16 +348,17 @@ TEST(RatingDatasetTest, CsrRoundTrip) {
 
 TEST(SplitRatingsTest, PartitionsAllIndices) {
   Rng rng(41);
-  const auto split = SplitRatings(1000, 0.2, rng);
-  EXPECT_EQ(split.train.size() + split.holdout.size(), 1000u);
-  EXPECT_NEAR(static_cast<double>(split.holdout.size()), 200.0, 50.0);
+  const std::vector<bool> held_out = SplitRatings(1000, 0.2, rng);
+  EXPECT_EQ(held_out.size(), 1000u);
+  const auto holdout = std::count(held_out.begin(), held_out.end(), true);
+  EXPECT_NEAR(static_cast<double>(holdout), 200.0, 50.0);
 }
 
 TEST(SplitRatingsTest, ZeroFractionKeepsEverything) {
   Rng rng(43);
-  const auto split = SplitRatings(100, 0.0, rng);
-  EXPECT_EQ(split.train.size(), 100u);
-  EXPECT_TRUE(split.holdout.empty());
+  const std::vector<bool> held_out = SplitRatings(100, 0.0, rng);
+  EXPECT_EQ(held_out.size(), 100u);
+  EXPECT_EQ(std::count(held_out.begin(), held_out.end(), true), 0);
 }
 
 // ---------------------------------------------------------------- pool

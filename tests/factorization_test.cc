@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/vec.h"
+#include "factorization/checkpoint.h"
 #include "factorization/factor_model.h"
+#include "factorization/sgd_loop.h"
 #include "factorization/sgd_trainer.h"
 
 namespace ccdb::factorization {
@@ -255,6 +260,136 @@ RatingDataset MakeDriftingDataset(std::size_t num_items,
     }
   }
   return RatingDataset(num_items, num_users, std::move(ratings));
+}
+
+// ------------------------------------------------- block-stratified SGD
+
+TEST(SgdScheduleTest, SubEpochsAreDisjointAndCoverEveryRatingOnce) {
+  // Uneven shapes (fewer items than 8 per block on one side) exercise the
+  // permutation cut as well as the CSR buckets.
+  const RatingDataset data = MakePlantedDataset(
+      ModelKind::kEuclideanEmbedding, 37, 211, 3, 0.3, 71);
+  SgdTrainerConfig config;
+  config.seed = 13;
+  config.validation_fraction = 0.2;
+  const SgdBlockGrid grid(config, data);
+  const auto ratings = data.ratings();
+
+  // The holdout is exactly SplitRatings' draw from Rng(seed); every other
+  // rating sits, once, in the training list of its (user, item) block.
+  Rng split_rng(config.seed);
+  const std::vector<bool> held_out =
+      SplitRatings(data.num_ratings(), config.validation_fraction, split_rng);
+  std::vector<int> train_seen(data.num_ratings(), 0);
+  std::vector<int> holdout_seen(data.num_ratings(), 0);
+  for (std::size_t block = 0; block < kSgdBlocks * kSgdBlocks; ++block) {
+    for (std::uint32_t idx : grid.train(block)) ++train_seen[idx];
+    for (std::uint32_t idx : grid.holdout(block)) ++holdout_seen[idx];
+  }
+  for (std::size_t i = 0; i < data.num_ratings(); ++i) {
+    EXPECT_EQ(train_seen[i], held_out[i] ? 0 : 1) << "rating " << i;
+    EXPECT_EQ(holdout_seen[i], held_out[i] ? 1 : 0) << "rating " << i;
+  }
+  EXPECT_GT(grid.num_holdout(), 0u);
+  EXPECT_EQ(grid.num_train() + grid.num_holdout(), data.num_ratings());
+
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    std::vector<int> visits(data.num_ratings(), 0);
+    std::set<std::size_t> blocks_run;
+    for (const SgdStratum& stratum : grid.Strata(epoch)) {
+      // Row- and column-disjoint: no user and no item is trained by two
+      // blocks of one sub-epoch.
+      std::vector<int> user_owner(data.num_users(), -1);
+      std::vector<int> item_owner(data.num_items(), -1);
+      for (std::size_t p = 0; p < kSgdBlocks; ++p) {
+        const std::size_t block = stratum[p];
+        EXPECT_TRUE(blocks_run.insert(block).second) << "block " << block;
+        const std::vector<std::uint32_t> order = grid.EpochOrder(epoch, block);
+        std::vector<std::uint32_t> sorted = order;
+        std::sort(sorted.begin(), sorted.end());
+        const auto train = grid.train(block);
+        EXPECT_TRUE(std::equal(sorted.begin(), sorted.end(), train.begin(),
+                               train.end()));
+        for (std::uint32_t idx : order) {
+          ++visits[idx];
+          int& user = user_owner[ratings[idx].user];
+          int& item = item_owner[ratings[idx].item];
+          EXPECT_TRUE(user == -1 || user == static_cast<int>(p));
+          EXPECT_TRUE(item == -1 || item == static_cast<int>(p));
+          user = item = static_cast<int>(p);
+        }
+      }
+    }
+    EXPECT_EQ(blocks_run.size(), kSgdBlocks * kSgdBlocks);
+    for (std::size_t i = 0; i < data.num_ratings(); ++i) {
+      ASSERT_EQ(visits[i], held_out[i] ? 0 : 1) << "rating " << i;
+    }
+  }
+}
+
+TEST(SgdScheduleTest, EpochOrderDependsOnlyOnSeedEpochAndBlock) {
+  const RatingDataset data = MakePlantedDataset(
+      ModelKind::kEuclideanEmbedding, 40, 120, 3, 0.3, 73);
+  SgdTrainerConfig config;
+  const SgdBlockGrid grid(config, data);
+  const SgdBlockGrid twin(config, data);
+  std::size_t reordered = 0;
+  for (std::size_t block = 0; block < kSgdBlocks * kSgdBlocks; ++block) {
+    EXPECT_EQ(grid.EpochOrder(3, block), twin.EpochOrder(3, block));
+    if (grid.EpochOrder(3, block) != grid.EpochOrder(4, block)) ++reordered;
+  }
+  EXPECT_GT(reordered, kSgdBlocks * kSgdBlocks / 2);
+  EXPECT_EQ(grid.Strata(2), twin.Strata(2));
+}
+
+// Runs RunSgdEpochs on a private pool of `threads` workers.
+TrainingReport TrainOnPool(const SgdTrainerConfig& config,
+                           const RatingDataset& data, FactorModel& model,
+                           std::size_t threads) {
+  ThreadPool pool(threads);
+  SgdState state(config);
+  EXPECT_TRUE(RunSgdEpochs(config, data, model, state, nullptr, pool).ok());
+  return std::move(state.report);
+}
+
+TEST(SgdScheduleTest, BitIdenticalForAnyPoolSize) {
+  const RatingDataset data = MakeDriftingDataset(50, 160, 0.5, 75);
+  struct Case {
+    ModelKind kind;
+    std::size_t time_bins;
+    double validation_fraction;
+  };
+  for (const Case& c : {Case{ModelKind::kEuclideanEmbedding, 1, 0.0},
+                        Case{ModelKind::kEuclideanEmbedding, 4, 0.2},
+                        Case{ModelKind::kSvdDotProduct, 4, 0.2}}) {
+    SCOPED_TRACE("kind " + std::to_string(static_cast<int>(c.kind)) +
+                 " bins " + std::to_string(c.time_bins));
+    FactorModelConfig model_config;
+    model_config.kind = c.kind;
+    model_config.dims = 6;
+    model_config.time_bins = c.time_bins;
+    model_config.timeline_days = 1000.0;
+    SgdTrainerConfig trainer;
+    trainer.max_epochs = 6;
+    trainer.learning_rate = 0.02;
+    trainer.validation_fraction = c.validation_fraction;
+    trainer.patience = 100;
+
+    FactorModel reference(model_config, data);
+    const TrainingReport expected = TrainSgd(trainer, data, reference);
+    ASSERT_EQ(expected.epochs_run, 6);
+    EXPECT_EQ(expected.validation_rmse.empty(), c.validation_fraction == 0);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      FactorModel model(model_config, data);
+      const TrainingReport report = TrainOnPool(trainer, data, model, threads);
+      EXPECT_EQ(EncodeFactorModel(model), EncodeFactorModel(reference));
+      EXPECT_EQ(report.train_rmse, expected.train_rmse);
+      EXPECT_EQ(report.validation_rmse, expected.validation_rmse);
+      EXPECT_EQ(report.epochs_run, expected.epochs_run);
+    }
+  }
 }
 
 TEST(TemporalModelTest, TimeBinsReduceRmseOnDriftingData) {

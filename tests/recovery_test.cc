@@ -585,6 +585,61 @@ TEST_F(TrainerRecoveryTest, SnapshotClaimingExtraEpochsIsRejected) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(TrainerRecoveryTest, SnapshotOfSequentialScheduleIsNotResumed) {
+  const RatingDataset data = MakeData(51);
+  factorization::FactorModelConfig model_config;
+  model_config.dims = 6;
+  factorization::SgdTrainerConfig trainer;
+  trainer.max_epochs = 3;
+
+  factorization::TrainerCheckpointOptions checkpoint;
+  checkpoint.path = FreshPath("sgd_old_schedule.ckpt");
+  factorization::FactorModel model(model_config, data);
+  ASSERT_TRUE(TrainSgdDurable(trainer, data, model, checkpoint).ok());
+
+  // Re-stamp the snapshot with the fingerprint the sequential-schedule
+  // trainer (no schedule-version word) gave this very run: same config,
+  // data and model, so only the schedule tells the two apart.
+  ByteWriter old;
+  old.PutU64(static_cast<std::uint64_t>(trainer.max_epochs));
+  old.PutF64(trainer.learning_rate);
+  old.PutF64(trainer.lr_decay);
+  old.PutF64(trainer.validation_fraction);
+  old.PutU64(static_cast<std::uint64_t>(trainer.patience));
+  old.PutU64(trainer.seed);
+  old.PutU64(data.num_items());
+  old.PutU64(data.num_users());
+  old.PutU64(data.num_ratings());
+  old.PutU8(static_cast<std::uint8_t>(model_config.kind));
+  old.PutU64(model_config.dims);
+  old.PutF64(model_config.lambda);
+  old.PutF64(model_config.init_scale);
+  old.PutU64(model_config.time_bins);
+  old.PutF64(model_config.timeline_days);
+  old.PutU64(model_config.seed);
+  ByteWriter fingerprint;
+  fingerprint.PutU64(HashBytes(old.bytes()));
+
+  auto file = ReadFileToString(checkpoint.path);
+  ASSERT_TRUE(file.ok());
+  auto payload = UnsealSnapshot("CCDBCKP1", file.value(), checkpoint.path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  std::string forged(payload.value());
+  forged.replace(0, 8, fingerprint.bytes());
+  ASSERT_TRUE(
+      AtomicWriteFile(checkpoint.path, SealSnapshot("CCDBCKP1", forged)).ok());
+
+  factorization::FactorModel resumed(model_config, data);
+  const factorization::FactorModel fresh(model_config, data);
+  auto report = TrainSgdDurable(trainer, data, resumed, checkpoint);
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().ToString().find("fingerprint"),
+            std::string::npos)
+      << report.status().ToString();
+  // Nothing of the foreign trajectory was loaded.
+  ExpectSameModel(fresh, resumed);
+}
+
 // Flips one payload bit in the snapshot file at `path`.
 void CorruptSnapshotFile(const std::string& path) {
   auto bytes = ReadFileToString(path);
