@@ -1,7 +1,5 @@
 #include "common/csv.h"
 
-#include <sstream>
-
 namespace ccdb {
 
 void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
@@ -10,18 +8,6 @@ void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
     os_ << Escape(fields[i]);
   }
   os_ << '\n';
-}
-
-void CsvWriter::WriteNumericRow(const std::vector<double>& values) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream oss;
-    oss.precision(12);
-    oss << v;
-    fields.push_back(oss.str());
-  }
-  WriteRow(fields);
 }
 
 std::string CsvWriter::Escape(const std::string& field) {
@@ -35,40 +21,6 @@ std::string CsvWriter::Escape(const std::string& field) {
   }
   out += '"';
   return out;
-}
-
-StatusOr<std::vector<std::string>> ParseCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current += c;
-      }
-    } else if (c == '"') {
-      if (!current.empty()) {
-        return Status::InvalidArgument("quote inside unquoted field");
-      }
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  if (in_quotes) return Status::InvalidArgument("unterminated quoted field");
-  fields.push_back(current);
-  return fields;
 }
 
 }  // namespace ccdb

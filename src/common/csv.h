@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace ccdb {
 
 /// Minimal CSV writer used by figure benches and examples to export data
@@ -20,19 +18,11 @@ class CsvWriter {
   /// Writes one row of fields.
   void WriteRow(const std::vector<std::string>& fields);
 
-  /// Convenience: writes a row of doubles with full precision.
-  void WriteNumericRow(const std::vector<double>& values);
-
  private:
   static std::string Escape(const std::string& field);
 
   std::ostream& os_;
 };
-
-/// Parses a single CSV line into fields (handles quoting). Returns an
-/// error Status on malformed quoting.
-[[nodiscard]]
-StatusOr<std::vector<std::string>> ParseCsvLine(const std::string& line);
 
 }  // namespace ccdb
 

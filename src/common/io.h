@@ -38,7 +38,7 @@ enum class WriteMode {
 };
 
 /// Minimal VFS seam between the durable subsystems (journals, checkpoint
-/// manifests, trainer snapshots, CSV/table/model files) and the operating
+/// manifests, trainer snapshots, space files, bench CSVs) and the operating
 /// system. Every byte of durable state flows through an Fs so storage
 /// faults can be injected deterministically (FaultFs) and the recovery
 /// ladder is a tested property instead of an assumption. Implementations

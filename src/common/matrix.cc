@@ -10,10 +10,6 @@ void Matrix::FillGaussian(Rng& rng, double mean, double stddev) {
   for (double& v : data_) v = rng.Gaussian(mean, stddev);
 }
 
-void Matrix::FillUniform(Rng& rng, double lo, double hi) {
-  for (double& v : data_) v = rng.Uniform(lo, hi);
-}
-
 Matrix Matrix::Multiply(const Matrix& other) const {
   CCDB_CHECK_EQ(cols_, other.rows_);
   Matrix result(rows_, other.cols_);

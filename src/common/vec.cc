@@ -156,21 +156,6 @@ double SquaredNorm(std::span<const double> x) {
   return SquaredNormCore(x.data(), x.size());
 }
 
-void Axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  CCDB_CHECK_EQ(x.size(), y.size());
-  const double* a = x.data();
-  double* b = y.data();
-  const std::size_t n = x.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    b[i] += alpha * a[i];
-    b[i + 1] += alpha * a[i + 1];
-    b[i + 2] += alpha * a[i + 2];
-    b[i + 3] += alpha * a[i + 3];
-  }
-  for (; i < n; ++i) b[i] += alpha * a[i];
-}
-
 void Scale(double alpha, std::span<double> x) {
   for (double& v : x) v *= alpha;
 }

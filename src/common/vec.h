@@ -11,7 +11,7 @@ namespace ccdb {
 /// All functions operate on std::span<const double> so they work on raw
 /// matrix rows without copies; sizes must match (checked).
 ///
-/// The hot kernels (Dot, SquaredDistance, SquaredNorm, Axpy and the batch
+/// The hot kernels (Dot, SquaredDistance, SquaredNorm and the batch
 /// primitives below) are written as 4-wide unrolled loops with independent
 /// accumulators: the unroll breaks the additive dependency chain so the
 /// compiler can keep 4 FMA pipes busy and auto-vectorize the body. The
@@ -32,9 +32,6 @@ double Norm(std::span<const double> x);
 
 /// Squared Euclidean norm ‖x‖².
 double SquaredNorm(std::span<const double> x);
-
-/// y += alpha * x.
-void Axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 /// x *= alpha.
 void Scale(double alpha, std::span<double> x);

@@ -191,14 +191,12 @@ StatusOr<ExpansionManifest> LoadExpansionManifest(const std::string& path,
   return ReplayManifest(contents.value().records);
 }
 
-namespace {
-
-StatusOr<std::vector<ExpansionCheckpoint>> RunDurableImpl(
+StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionDurable(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double total_minutes,
     const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable, bool require_existing) {
+    const DurableExpansionOptions& durable) {
   if (durable.manifest_path.empty()) {
     return Status::InvalidArgument(
         "DurableExpansionOptions.manifest_path is empty");
@@ -221,10 +219,6 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunDurableImpl(
   StatusOr<ExpansionManifest> replayed = ReplayManifest(recovered.records);
   if (!replayed.ok()) return replayed.status();
   ExpansionManifest manifest = std::move(replayed).value();
-  if (require_existing && !manifest.begun) {
-    return Status::NotFound("no expansion to resume in " +
-                            durable.manifest_path);
-  }
   if (manifest.begun && manifest.fingerprint != fingerprint) {
     return Status::InvalidArgument(
         "manifest " + durable.manifest_path +
@@ -253,9 +247,9 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunDurableImpl(
       checkpoint = manifest.checkpoints[index];
     } else {
       // Cooperative stop at the checkpoint boundary. Checkpoints already
-      // journaled stay on disk; a later run (or ResumeIncrementalExpansion)
-      // with the same inputs picks up exactly here — cancellation leaves
-      // the same durable state as a crash would, minus the torn tail.
+      // journaled stay on disk; a later run with the same inputs picks
+      // up exactly here — cancellation leaves the same durable state as a
+      // crash would, minus the torn tail.
       // A stop inside the checkpoint's extraction sweep is the same stop:
       // nothing partial is journaled, so the resume contract holds.
       std::optional<ExpansionCheckpoint> computed;
@@ -293,28 +287,6 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunDurableImpl(
   CCDB_CRASH_POINT("expansion.finish");
   if (Status status = writer.Close(); !status.ok()) return status;
   return checkpoints;
-}
-
-}  // namespace
-
-StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionDurable(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable) {
-  return RunDurableImpl(space, sample_items, judgments, total_minutes,
-                        options, durable, /*require_existing=*/false);
-}
-
-StatusOr<std::vector<ExpansionCheckpoint>> ResumeIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable) {
-  return RunDurableImpl(space, sample_items, judgments, total_minutes,
-                        options, durable, /*require_existing=*/true);
 }
 
 }  // namespace ccdb::core

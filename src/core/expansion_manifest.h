@@ -72,18 +72,6 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionDurable(
     const IncrementalExpansionOptions& options,
     const DurableExpansionOptions& durable);
 
-/// Resume-only entry point: identical to RunIncrementalExpansionDurable
-/// but requires the manifest to exist already (NotFound otherwise) — the
-/// call a recovery supervisor makes after a crash, when starting from
-/// scratch would mean the journal path is wrong.
-[[nodiscard]]
-StatusOr<std::vector<ExpansionCheckpoint>> ResumeIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable);
-
 }  // namespace ccdb::core
 
 #endif  // CCDB_CORE_EXPANSION_MANIFEST_H_

@@ -28,8 +28,7 @@ Status PerceptualExpansionResolver::Resolve(db::Table& table,
                             column_name);
   }
   // Row i of the table corresponds to item i of the space; the table may
-  // be a prefix (items already embedded but not yet inserted into the DB
-  // are filled later via Refresh()).
+  // be a prefix of the space's items.
   if (table.num_rows() > space_->num_items()) {
     return Status::FailedPrecondition(
         "table has rows beyond the perceptual space");
@@ -114,7 +113,7 @@ Status PerceptualExpansionResolver::ResolveNumeric(
 
 Status PerceptualExpansionResolver::Materialize(
     db::Table& table, const db::ColumnDef& column,
-    ExtractedColumn extracted) {
+    const ExtractedColumn& extracted) {
   if (Status status = table.AddColumn(column); !status.ok()) return status;
   std::vector<db::Value> values(table.num_rows());
   std::visit(
@@ -124,61 +123,7 @@ Status PerceptualExpansionResolver::Materialize(
         }
       },
       extracted);
-  if (Status status =
-          table.FillColumn(table.schema().num_columns() - 1, values);
-      !status.ok()) {
-    return status;
-  }
-  extracted_[column.name] = std::move(extracted);
-  return Status::Ok();
-}
-
-db::Table PerceptualExpansionResolver::AuditTable() const {
-  db::Schema schema({{"attribute", db::ColumnType::kString},
-                     {"type", db::ColumnType::kString},
-                     {"gold_size", db::ColumnType::kInt},
-                     {"classified", db::ColumnType::kInt},
-                     {"dollars", db::ColumnType::kDouble},
-                     {"minutes", db::ColumnType::kDouble}});
-  db::Table table("expansion_audit", schema);
-  for (const AuditRecord& record : audit_log_) {
-    const Status status = table.AppendRow(
-        {db::Value(record.attribute),
-         db::Value(std::string(db::ColumnTypeName(record.type))),
-         db::Value(static_cast<std::int64_t>(record.gold_sample_size)),
-         db::Value(static_cast<std::int64_t>(record.gold_sample_classified)),
-         db::Value(record.crowd_dollars), db::Value(record.crowd_minutes)});
-    CCDB_CHECK(status.ok());
-  }
-  return table;
-}
-
-Status PerceptualExpansionResolver::Refresh(db::Table& table,
-                                            const std::string& column_name) {
-  const std::size_t column = table.schema().FindColumn(column_name);
-  if (column == db::Schema::kNotFound) {
-    return Status::NotFound("column not materialized yet: " + column_name);
-  }
-  if (table.num_rows() > space_->num_items()) {
-    return Status::FailedPrecondition(
-        "table has rows beyond the perceptual space; rebuild the space "
-        "from fresh ratings first");
-  }
-  const auto it = extracted_.find(column_name);
-  if (it == extracted_.end()) {
-    return Status::FailedPrecondition("no extracted column retained for " +
-                                      column_name);
-  }
-  std::visit(
-      [&](const auto& items) {
-        for (std::size_t row = 0; row < table.num_rows(); ++row) {
-          if (db::IsNull(table.Get(row, column))) {
-            table.Set(row, column, db::Value(items[row]));
-          }
-        }
-      },
-      it->second);
-  return Status::Ok();
+  return table.FillColumn(table.schema().num_columns() - 1, values);
 }
 
 }  // namespace ccdb::core

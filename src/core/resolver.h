@@ -57,14 +57,6 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
   [[nodiscard]]
   Status Resolve(db::Table& table, const std::string& column_name) override;
 
-  /// Incremental maintenance (the paper's "each new movie added to the
-  /// database will require similar HITs" pain point, solved): fills only
-  /// the NULL cells of an already-materialized perceptual column from the
-  /// values extracted for every space item at expansion time — no new
-  /// crowd work. Rows must still correspond 1:1 to space items.
-  [[nodiscard]]
-  Status Refresh(db::Table& table, const std::string& column_name);
-
   /// Crowd cost/time stats of the most recent expansion.
   const SchemaExpansionResult& last_result() const { return last_result_; }
 
@@ -80,11 +72,6 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
   };
   const std::vector<AuditRecord>& audit_log() const { return audit_log_; }
 
-  /// Renders the audit log as a queryable table named
-  /// "expansion_audit" (attribute, type, gold_size, classified, dollars,
-  /// minutes).
-  db::Table AuditTable() const;
-
  private:
   [[nodiscard]]
   Status ResolveBool(db::Table& table, const std::string& column_name,
@@ -95,20 +82,16 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
   /// The values extracted for every space item, Boolean or numeric.
   using ExtractedColumn =
       std::variant<std::vector<bool>, std::vector<double>>;
-  /// Adds `column` to `table`, fills it from `extracted` and retains
-  /// `extracted` for Refresh().
+  /// Adds `column` to `table` and fills it from `extracted`.
   [[nodiscard]]
   Status Materialize(db::Table& table, const db::ColumnDef& column,
-                     ExtractedColumn extracted);
+                     const ExtractedColumn& extracted);
 
   const PerceptualSpace* space_;
   crowd::WorkerPool pool_;
   crowd::HitRunConfig hit_config_;
   std::uint64_t seed_;
   std::map<std::string, PerceptualAttributeSpec> attributes_;
-  /// Extracted column (every space item) per materialized attribute, for
-  /// Refresh().
-  std::map<std::string, ExtractedColumn> extracted_;
   std::vector<AuditRecord> audit_log_;
   SchemaExpansionResult last_result_;
 };

@@ -108,13 +108,6 @@ CrowdRunResult RunCrowdTask(const WorkerPool& pool,
                             const std::vector<bool>& true_labels,
                             const HitRunConfig& config);
 
-/// Status-returning variant of RunCrowdTask: invalid configurations (see
-/// ValidateCrowdTask) come back as errors instead of aborting the process.
-/// Prefer this at system boundaries (dispatcher, expansion pipeline).
-[[nodiscard]] StatusOr<CrowdRunResult> RunCrowdTaskChecked(
-    const WorkerPool& pool, const std::vector<bool>& true_labels,
-    const HitRunConfig& config);
-
 }  // namespace ccdb::crowd
 
 #endif  // CCDB_CROWD_PLATFORM_H_

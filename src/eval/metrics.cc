@@ -62,18 +62,6 @@ double Precision(const ConfusionCounts& c) {
 
 double Recall(const ConfusionCounts& c) { return Sensitivity(c); }
 
-double Rmse(std::span<const double> predicted,
-            std::span<const double> actual) {
-  CCDB_CHECK_EQ(predicted.size(), actual.size());
-  CCDB_CHECK(!predicted.empty());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    const double diff = predicted[i] - actual[i];
-    acc += diff * diff;
-  }
-  return std::sqrt(acc / static_cast<double>(predicted.size()));
-}
-
 MeanStddev ComputeMeanStddev(std::span<const double> values) {
   MeanStddev result;
   if (values.empty()) return result;

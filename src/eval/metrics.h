@@ -44,9 +44,6 @@ double Precision(const ConfusionCounts& counts);
 /// TP / (TP + FN); 0 when there are no actual positives.
 double Recall(const ConfusionCounts& counts);
 
-/// Root of the mean squared difference between two equal-length series.
-double Rmse(std::span<const double> predicted, std::span<const double> actual);
-
 /// Sample mean and standard deviation of a series of measurements (used to
 /// aggregate the 20 random repetitions of each experiment cell).
 struct MeanStddev {

@@ -114,26 +114,6 @@ std::vector<Neighbor> KNearestNeighbors(const Matrix& points,
   return FinishHeap(std::move(heap));
 }
 
-std::vector<std::vector<Neighbor>> KNearestNeighborsBatch(
-    const Matrix& points, const std::vector<std::size_t>& queries,
-    std::size_t k) {
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::size_t q = 0;
-  for (; q + kQueryGroup <= queries.size(); q += kQueryGroup) {
-    auto group = KnnQuadScan(
-        points, {queries[q], queries[q + 1], queries[q + 2], queries[q + 3]},
-        k);
-    for (std::size_t g = 0; g < kQueryGroup; ++g) {
-      results[q + g] = std::move(group[g]);
-    }
-  }
-  // Sub-four tail: the single-query scan produces identical values.
-  for (; q < queries.size(); ++q) {
-    results[q] = KNearestNeighbors(points, queries[q], k);
-  }
-  return results;
-}
-
 double NeighborLabelCoherence(
     const Matrix& points, const std::vector<std::vector<bool>>& item_labels,
     const std::vector<std::size_t>& queries, std::size_t k) {

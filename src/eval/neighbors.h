@@ -27,23 +27,17 @@ struct Neighbor {
 std::vector<Neighbor> KNearestNeighbors(const Matrix& points,
                                         std::size_t query, std::size_t k);
 
-/// kNN for many queries in one pass: queries are processed in groups of
-/// four that share every candidate-row load (one SquaredDistanceToRowsQuad
-/// sweep per block), cutting the matrix traffic ~4× versus per-query
-/// scans. result[i] is the kNN list of queries[i], bit-identical to
-/// KNearestNeighbors(points, queries[i], k).
-std::vector<std::vector<Neighbor>> KNearestNeighborsBatch(
-    const Matrix& points, const std::vector<std::size_t>& queries,
-    std::size_t k);
-
 /// Fraction of each item's k nearest neighbors that share at least one
 /// ground-truth label with the item, averaged over `queries`. Labels are
 /// given as per-item bitsets (outer index = item, inner = label id).
 /// Measures whether the space is perceptually coherent (Table 2's point).
-/// Queries are scanned in quad groups (see KNearestNeighborsBatch) and the
-/// groups are parallelized on the shared thread pool for large scans; the
-/// result is independent of the thread count (per-query counts are
-/// integers, so the aggregation is exact in any order).
+/// Queries are scanned in groups of four that share every candidate-row
+/// load (one SquaredDistanceToRowsQuad sweep per block, ~4× less matrix
+/// traffic than per-query scans); each group's neighbor lists are
+/// bit-identical to per-query KNearestNeighbors calls. The groups are
+/// parallelized on the shared thread pool for large scans; the result is
+/// independent of the thread count (per-query counts are integers, so the
+/// aggregation is exact in any order).
 double NeighborLabelCoherence(
     const Matrix& points, const std::vector<std::vector<bool>>& item_labels,
     const std::vector<std::size_t>& queries, std::size_t k);

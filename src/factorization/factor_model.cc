@@ -146,15 +146,4 @@ void FactorModel::EuclideanStep(const Rating& rating, double lr) {
   }
 }
 
-double FactorModel::EvaluateRmse(const RatingDataset& data) const {
-  const auto ratings = data.ratings();
-  if (ratings.empty()) return 0.0;
-  double acc = 0.0;
-  for (const Rating& r : ratings) {
-    const double diff = r.score - PredictAt(r.item, r.user, r.day);
-    acc += diff * diff;
-  }
-  return std::sqrt(acc / static_cast<double>(ratings.size()));
-}
-
 }  // namespace ccdb::factorization

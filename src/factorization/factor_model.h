@@ -92,9 +92,6 @@ class FactorModel {
   /// given learning rate, using the model-kind specific gradient.
   void SgdStep(const Rating& rating, double learning_rate);
 
-  /// RMSE over all ratings of `data`.
-  double EvaluateRmse(const RatingDataset& data) const;
-
  private:
   void SvdStep(const Rating& rating, double lr);
   void EuclideanStep(const Rating& rating, double lr);

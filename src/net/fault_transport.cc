@@ -60,11 +60,6 @@ void FaultTransport::HealPartition(const std::string& name) {
   partitions_.erase(name);
 }
 
-void FaultTransport::HealAllPartitions() {
-  MutexLock lock(mutex_);
-  partitions_.clear();
-}
-
 bool FaultTransport::Partitioned(std::uint32_t a, std::uint32_t b) const {
   MutexLock lock(mutex_);
   for (const auto& entry : partitions_) {

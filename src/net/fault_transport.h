@@ -91,7 +91,6 @@ class FaultTransport final : public Transport {
                       const std::vector<std::uint32_t>& side_b);
   /// Removes the named partition (unknown names are a no-op).
   void HealPartition(const std::string& name);
-  void HealAllPartitions();
   /// Whether any active partition separates `a` from `b`.
   bool Partitioned(std::uint32_t a, std::uint32_t b) const;
 

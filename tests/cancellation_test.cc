@@ -381,8 +381,8 @@ core::PerceptualSpace* ExpansionCancellationTest::space_ = nullptr;
 TEST_F(ExpansionCancellationTest,
        PreCancelledTrainingLeavesExtractorUntrained) {
   // A two-class gold sample whose SMO stop fired before the first
-  // iteration: no multiplier moves, so there is no model to calibrate or
-  // extract with. Train must say so instead of aborting the process.
+  // iteration: no multiplier moves, so there is no model to extract with.
+  // Train must say so instead of aborting the process.
   std::vector<std::uint32_t> items;
   std::vector<bool> labels;
   for (std::uint32_t m = 0; m < world_->num_items() && items.size() < 40;
@@ -455,7 +455,7 @@ TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
     // The cancellation landed mid-run: the manifest must resume to the
     // bit-identical full checkpoint sequence.
     EXPECT_EQ(first.status().code(), StatusCode::kCancelled);
-    const auto resumed = core::ResumeIncrementalExpansion(
+    const auto resumed = core::RunIncrementalExpansionDurable(
         *space_, sample, judgments, 40.0, options, durable);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ASSERT_EQ(resumed.value().size(), reference.size());

@@ -6,7 +6,6 @@
 #include "data/domains.h"
 #include "data/expert_sources.h"
 #include "data/metadata.h"
-#include "data/ratings_io.h"
 #include "data/synthetic_world.h"
 #include "eval/metrics.h"
 
@@ -240,123 +239,6 @@ TEST(MetadataTest, DocumentsHaveFactualStructure) {
     EXPECT_LE(actors, config.max_actors);
     EXPECT_GE(keywords, config.min_keywords);
     EXPECT_LE(keywords, config.max_keywords);
-  }
-}
-
-TEST(RatingsIoTest, SaveLoadRoundTrip) {
-  SyntheticWorld world(TinyConfig());
-  const RatingDataset original = world.SampleRatings();
-  const std::string path = ::testing::TempDir() + "/ratings.csv";
-  ASSERT_TRUE(SaveRatingsCsv(original, path).ok());
-  auto loaded = LoadRatingsCsv(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded.value().num_ratings(), original.num_ratings());
-  // Ids are densified in first-seen order; scores and days must survive.
-  const auto a = original.ratings();
-  const auto b = loaded.value().ratings();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_FLOAT_EQ(a[i].score, b[i].score);
-    ASSERT_NEAR(a[i].day, b[i].day, 0.5);  // day serialized via to_string
-  }
-}
-
-TEST(RatingsIoTest, ParsesHeaderAndThreeColumnForm) {
-  const std::string path = ::testing::TempDir() + "/ml.csv";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("movieId,userId,rating\n10,7,4.5\n10,9,3\n22,7,1\n", f);
-    std::fclose(f);
-  }
-  auto loaded = LoadRatingsCsv(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_items(), 2u);   // 10, 22 densified
-  EXPECT_EQ(loaded.value().num_users(), 2u);   // 7, 9 densified
-  EXPECT_EQ(loaded.value().num_ratings(), 3u);
-  EXPECT_FLOAT_EQ(loaded.value().ratings()[0].score, 4.5f);
-}
-
-TEST(RatingsIoTest, RejectsMalformedInput) {
-  const std::string path = ::testing::TempDir() + "/bad.csv";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("1,2\n", f);  // too few columns
-    std::fclose(f);
-  }
-  EXPECT_FALSE(LoadRatingsCsv(path).ok());
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("1,2,abc\n", f);  // non-numeric score
-    std::fclose(f);
-  }
-  EXPECT_FALSE(LoadRatingsCsv(path).ok());
-  EXPECT_FALSE(LoadRatingsCsv("/no/such/ratings.csv").ok());
-}
-
-TEST(RatingsIoTest, RejectsCorruptNumericFields) {
-  const std::string path = ::testing::TempDir() + "/corrupt_ratings.csv";
-  // Ids past the 64-bit range must be InvalidArgument, not wrapped.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("99999999999999999999999999,2,4.0\n", f);
-    std::fclose(f);
-  }
-  auto oversized_id = LoadRatingsCsv(path);
-  ASSERT_FALSE(oversized_id.ok());
-  EXPECT_EQ(oversized_id.status().code(), StatusCode::kInvalidArgument);
-  // Scores past double range likewise.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::string huge_score = "1,2,1" + std::string(400, '0') + "\n";
-    std::fputs(huge_score.c_str(), f);
-    std::fclose(f);
-  }
-  EXPECT_EQ(LoadRatingsCsv(path).status().code(),
-            StatusCode::kInvalidArgument);
-  // Embedded garbage in an otherwise numeric-looking field.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("1,2,4.5,12..5\n", f);
-    std::fclose(f);
-  }
-  EXPECT_EQ(LoadRatingsCsv(path).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(RatingsIoTest, RejectsOversizedLines) {
-  const std::string path = ::testing::TempDir() + "/huge_line.csv";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::string line = "1,2," + std::string((1 << 20) + 16, '4') + "\n";
-    std::fputs(line.c_str(), f);
-    std::fclose(f);
-  }
-  auto loaded = LoadRatingsCsv(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(RatingsIoTest, TruncatedFileFailsCleanlyAtEveryCut) {
-  const std::string path = ::testing::TempDir() + "/truncated_ratings.csv";
-  const std::string content = "10,7,4.5,100\n10,9,3.0,200\n22,7,1.0,300\n";
-  for (std::size_t cut = 0; cut <= content.size(); ++cut) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(content.data(), 1, cut, f), cut);
-    std::fclose(f);
-    // Every truncation point must produce a clean Status (ok for a whole
-    // number of rows, InvalidArgument otherwise) — never a crash.
-    auto loaded = LoadRatingsCsv(path);
-    if (!loaded.ok()) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-          << "cut at " << cut;
-    }
   }
 }
 

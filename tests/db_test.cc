@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <iterator>
 #include <string>
 
 #include "db/database.h"
 #include "db/sql_parser.h"
 #include "db/table.h"
-#include "db/table_io.h"
 #include "db/value.h"
 
 namespace ccdb::db {
@@ -112,138 +109,6 @@ TEST(TableTest, ToTextRendersRows) {
   const std::string text = table.ToText();
   EXPECT_NE(text.find("Rocky"), std::string::npos);
   EXPECT_NE(text.find("rating"), std::string::npos);
-}
-
-TEST(TableIoTest, SaveLoadRoundTripWithNullsAndQuotes) {
-  Schema schema({{"name", ColumnType::kString},
-                 {"year", ColumnType::kInt},
-                 {"rating", ColumnType::kDouble},
-                 {"is_comedy", ColumnType::kBool}});
-  Table table("movies", schema);
-  ASSERT_TRUE(table.AppendRow({Value(std::string("Weird, \"Movie\"")),
-                               Value(static_cast<std::int64_t>(1999)),
-                               Value(7.25), Value(true)})
-                  .ok());
-  ASSERT_TRUE(table.AppendRow({Value(std::string("Plain")), Value{},
-                               Value{}, Value(false)})
-                  .ok());
-
-  const std::string path = ::testing::TempDir() + "/table_roundtrip.csv";
-  ASSERT_TRUE(SaveTableCsv(table, path).ok());
-  auto loaded = LoadTableCsv(path, "movies");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const Table& copy = loaded.value();
-  ASSERT_EQ(copy.num_rows(), 2u);
-  ASSERT_EQ(copy.schema().num_columns(), 4u);
-  EXPECT_EQ(copy.schema().column(3).type, ColumnType::kBool);
-  EXPECT_EQ(ToString(copy.Get(0, 0)), "Weird, \"Movie\"");
-  EXPECT_EQ(ToString(copy.Get(0, 1)), "1999");
-  EXPECT_NEAR(std::get<double>(copy.Get(0, 2)), 7.25, 1e-9);
-  EXPECT_EQ(std::get<bool>(copy.Get(0, 3)), true);
-  EXPECT_TRUE(IsNull(copy.Get(1, 1)));
-  EXPECT_TRUE(IsNull(copy.Get(1, 2)));
-}
-
-TEST(TableIoTest, LoadRejectsMalformedFiles) {
-  const std::string path = ::testing::TempDir() + "/bad_table.csv";
-  {
-    std::ofstream out(path);
-    out << "name\n";  // header without type tag
-  }
-  EXPECT_FALSE(LoadTableCsv(path, "t").ok());
-  {
-    std::ofstream out(path);
-    out << "name:STRING,year:INT\nonly_one_field\n";
-  }
-  EXPECT_FALSE(LoadTableCsv(path, "t").ok());
-  {
-    std::ofstream out(path);
-    out << "x:WEIRD\n";
-  }
-  EXPECT_FALSE(LoadTableCsv(path, "t").ok());
-  EXPECT_FALSE(LoadTableCsv("/no/such/table.csv", "t").ok());
-}
-
-TEST(TableIoTest, LoadRejectsCorruptCells) {
-  const std::string path = ::testing::TempDir() + "/corrupt_cells.csv";
-  // Trailing garbage after a number used to be silently swallowed by
-  // strtoll/strtod; it must be a clean InvalidArgument.
-  {
-    std::ofstream out(path);
-    out << "year:INT\n1999abc\n";
-  }
-  auto garbage_int = LoadTableCsv(path, "t");
-  ASSERT_FALSE(garbage_int.ok());
-  EXPECT_EQ(garbage_int.status().code(), StatusCode::kInvalidArgument);
-  {
-    std::ofstream out(path);
-    out << "score:DOUBLE\n7.25junk\n";
-  }
-  EXPECT_EQ(LoadTableCsv(path, "t").status().code(),
-            StatusCode::kInvalidArgument);
-  {
-    std::ofstream out(path);
-    out << "score:DOUBLE\nnot_a_number\n";
-  }
-  EXPECT_FALSE(LoadTableCsv(path, "t").ok());
-  // Out-of-range magnitudes are rejected, not clamped.
-  {
-    std::ofstream out(path);
-    out << "year:INT\n99999999999999999999999999\n";
-  }
-  EXPECT_EQ(LoadTableCsv(path, "t").status().code(),
-            StatusCode::kInvalidArgument);
-  {
-    std::ofstream out(path);
-    out << "score:DOUBLE\n1e999999\n";
-  }
-  EXPECT_EQ(LoadTableCsv(path, "t").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(TableIoTest, LoadRejectsOversizedLines) {
-  const std::string path = ::testing::TempDir() + "/oversized.csv";
-  {
-    std::ofstream out(path);
-    out << "name:STRING\n" << std::string((1 << 20) + 16, 'x') << "\n";
-  }
-  auto loaded = LoadTableCsv(path, "t");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(TableIoTest, LoadTruncatedFileFailsCleanly) {
-  // A file cut mid-row (e.g. a crashed writer without the atomic-rename
-  // discipline) must fail with a Status, not abort or return half a table.
-  Schema schema({{"name", ColumnType::kString},
-                 {"year", ColumnType::kInt}});
-  Table table("movies", schema);
-  ASSERT_TRUE(table.AppendRow({Value(std::string("AAA")),
-                               Value(static_cast<std::int64_t>(2000))})
-                  .ok());
-  ASSERT_TRUE(table.AppendRow({Value(std::string("BBB")),
-                               Value(static_cast<std::int64_t>(2001))})
-                  .ok());
-  const std::string path = ::testing::TempDir() + "/truncated_table.csv";
-  ASSERT_TRUE(SaveTableCsv(table, path).ok());
-
-  auto whole = LoadTableCsv(path, "t");
-  ASSERT_TRUE(whole.ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  // Cut inside the last row, leaving a dangling quoted field or arity
-  // mismatch; every cut point must produce ok() or InvalidArgument,
-  // never a crash.
-  for (std::size_t cut = bytes.size() - 8; cut < bytes.size(); ++cut) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(cut));
-    out.close();
-    auto loaded = LoadTableCsv(path, "t");
-    if (!loaded.ok()) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-    }
-  }
 }
 
 // ---------------------------------------------------------------- parser

@@ -217,81 +217,6 @@ TEST_F(PipelineFixture, UnregisteredAttributeFailsCleanly) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(PipelineFixture, RefreshFillsRowsAppendedAfterExpansion) {
-  // Build a table with only the first 250 items, expand is_comedy, then
-  // append 50 more rows (already embedded in the space) and Refresh.
-  db::Schema schema({{"item_id", db::ColumnType::kInt},
-                     {"name", db::ColumnType::kString}});
-  db::Table table("movies", schema);
-  const std::size_t initial_rows = 250;
-  for (std::uint32_t m = 0; m < initial_rows; ++m) {
-    ASSERT_TRUE(table
-                    .AppendRow({db::Value(static_cast<std::int64_t>(m)),
-                                db::Value(world_->ItemName(m))})
-                    .ok());
-  }
-  db::Database database;
-  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
-
-  crowd::WorkerPool pool;
-  for (int i = 0; i < 8; ++i) {
-    crowd::WorkerProfile worker;
-    worker.honest = true;
-    worker.knowledge = 1.0;
-    worker.accuracy = 0.95;
-    worker.judgments_per_minute = 2.0;
-    pool.workers.push_back(worker);
-  }
-  crowd::HitRunConfig hit_config;
-  hit_config.judgments_per_item = 5;
-  hit_config.perception_flip_rate = 0.05;
-  hit_config.seed = 93;
-  core::PerceptualExpansionResolver resolver(space_, pool, hit_config);
-  core::PerceptualAttributeSpec spec;
-  spec.type = db::ColumnType::kBool;
-  spec.gold_sample_size = 80;
-  spec.bool_truth = [&](std::uint32_t item) {
-    return world_->GenreLabel(0, item);
-  };
-  resolver.RegisterAttribute("is_comedy", std::move(spec));
-  database.SetResolver(&resolver);
-
-  ASSERT_TRUE(database.Execute("SELECT name FROM movies WHERE is_comedy")
-                  .ok());
-  const double first_cost = resolver.last_result().crowd_dollars;
-  EXPECT_GT(first_cost, 0.0);
-
-  // Append 50 new rows: the expanded column gets NULLs.
-  db::Table* movies = database.FindMutableTable("movies");
-  const std::size_t column = movies->schema().FindColumn("is_comedy");
-  ASSERT_NE(column, db::Schema::kNotFound);
-  for (std::uint32_t m = initial_rows; m < initial_rows + 50; ++m) {
-    ASSERT_TRUE(movies
-                    ->AppendRow({db::Value(static_cast<std::int64_t>(m)),
-                                 db::Value(world_->ItemName(m)),
-                                 db::Value{}})
-                    .ok());
-  }
-  EXPECT_TRUE(db::IsNull(movies->Get(initial_rows, column)));
-
-  // Refresh fills only the NULLs — and costs nothing.
-  ASSERT_TRUE(resolver.Refresh(*movies, "is_comedy").ok());
-  std::size_t correct = 0;
-  for (std::uint32_t m = initial_rows; m < initial_rows + 50; ++m) {
-    ASSERT_FALSE(db::IsNull(movies->Get(m, column)));
-    // The refreshed cell is the value extracted for that item at
-    // expansion time.
-    EXPECT_EQ(std::get<bool>(movies->Get(m, column)),
-              resolver.last_result().values[m]);
-    if (std::get<bool>(movies->Get(m, column)) ==
-        world_->GenreLabel(0, m)) {
-      ++correct;
-    }
-  }
-  EXPECT_GT(correct, 30u);  // clearly better than chance on fresh rows
-  EXPECT_DOUBLE_EQ(resolver.last_result().crowd_dollars, first_cost);
-}
-
 TEST_F(PipelineFixture, AuditLogRecordsExpansions) {
   db::Database database;
   ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
@@ -332,23 +257,8 @@ TEST_F(PipelineFixture, AuditLogRecordsExpansions) {
   EXPECT_EQ(resolver.audit_log()[0].attribute, "is_comedy");
   EXPECT_GT(resolver.audit_log()[0].crowd_dollars, 0.0);
   EXPECT_EQ(resolver.audit_log()[1].attribute, "humor");
-
-  // The audit table is itself queryable.
-  db::Database audit_db;
-  ASSERT_TRUE(audit_db.AddTable(resolver.AuditTable()).ok());
-  const auto result = audit_db.Execute(
-      "SELECT attribute FROM expansion_audit WHERE dollars > 0");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result.value().num_rows(), 1u);
-  EXPECT_EQ(db::ToString(result.value().Get(0, 0)), "is_comedy");
-}
-
-TEST_F(PipelineFixture, RefreshErrorsWithoutMaterializedColumn) {
-  db::Table table("t", db::Schema({{"x", db::ColumnType::kInt}}));
-  core::PerceptualExpansionResolver resolver(
-      space_, crowd::WorkerPool{{crowd::WorkerProfile{}}},
-      crowd::HitRunConfig{});
-  EXPECT_FALSE(resolver.Refresh(table, "is_comedy").ok());
+  // Numeric gold comes from trusted experts: no crowd spend.
+  EXPECT_DOUBLE_EQ(resolver.audit_log()[1].crowd_dollars, 0.0);
 }
 
 TEST_F(PipelineFixture, PerceptualSpaceBeatsMetadataSpace) {

@@ -394,21 +394,18 @@ TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
       }
       CrashPoints::Disarm();
       ASSERT_TRUE(crashed);
+      // The crash left a begun manifest, so the rerun resumes rather than
+      // starting over.
+      auto manifest = core::LoadExpansionManifest(durable.manifest_path);
+      ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+      ASSERT_TRUE(manifest.value().begun);
 
-      auto resumed = core::ResumeIncrementalExpansion(
+      auto resumed = core::RunIncrementalExpansionDurable(
           *space_, sample_, judgments_, 30.0, Options(), durable);
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
       ExpectSameCheckpoints(baseline, resumed.value());
     }
   }
-}
-
-TEST_F(ExpansionRecoveryTest, ResumeWithoutManifestIsNotFound) {
-  core::DurableExpansionOptions durable;
-  durable.manifest_path = FreshPath("no_such_expansion.jnl");
-  auto resumed = core::ResumeIncrementalExpansion(
-      *space_, sample_, judgments_, 30.0, Options(), durable);
-  EXPECT_EQ(resumed.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(ExpansionRecoveryTest, ManifestOfDifferentExpansionIsRejected) {
@@ -418,7 +415,7 @@ TEST_F(ExpansionRecoveryTest, ManifestOfDifferentExpansionIsRejected) {
                   *space_, sample_, judgments_, 30.0, Options(), durable)
                   .ok());
   // Same manifest, shorter run: different fingerprint.
-  auto resumed = core::ResumeIncrementalExpansion(
+  auto resumed = core::RunIncrementalExpansionDurable(
       *space_, sample_, judgments_, 25.0, Options(), durable);
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
